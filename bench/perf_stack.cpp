@@ -15,9 +15,11 @@
 //
 //   perf_stack [--smoke] [--threads N] [--out PATH]
 //
-// --smoke shrinks every case to seconds-total (CI); --threads overrides the
-// parallel thread count (default: ThreadPool::default_thread_count(), which
-// itself honours REPRO_THREADS). Every timed pair also verifies that the
+// --smoke shrinks every case to seconds-total (CI; its output, committed
+// as BENCH_perf_stack_smoke.json, is scripts/perf_gate.sh's baseline);
+// --threads overrides the parallel thread count (default:
+// ThreadPool::default_thread_count(), which itself honours
+// REPRO_THREADS). Every timed pair also verifies that the
 // optimized output is bit-identical to its reference and records the
 // verdict in the JSON.
 #include "common/alloc_hook.hpp"  // this binary's one hook TU (--alloc-report)
@@ -163,6 +165,85 @@ CaseResult bench_batch_predict(std::size_t m, std::size_t threads, int reps) {
       std::memcmp(serial_pred.data(), parallel_pred.data(),
                   serial_pred.size() * sizeof(double)) == 0;
   return {"svr_batch_predict", m, serial_ms, parallel_ms, identical};
+}
+
+/// An SVR with `n_sv` random support vectors in [0, 1]^12 and coefficients
+/// in the C = 1000 box, built through the model text format: prediction
+/// cost depends only on the kernel and the support-vector count, so this
+/// skips an SMO run per size.
+ml::Svr synthetic_svr(const char* kernel, std::size_t n_sv, std::uint64_t seed) {
+  constexpr std::size_t kDim = 12;
+  common::Xoshiro256 rng(seed);
+  std::string text = std::string("svr ") + kernel + " 0.1 0 3 1000 0.1 0.25 " +
+                     std::to_string(n_sv) + " " + std::to_string(kDim) + "\n";
+  char num[32];
+  for (std::size_t i = 0; i < n_sv; ++i) {
+    std::snprintf(num, sizeof num, "%.17g", rng.uniform(-1000.0, 1000.0));
+    text += num;
+    for (std::size_t d = 0; d < kDim; ++d) {
+      std::snprintf(num, sizeof num, " %.17g", rng.uniform(0.0, 1.0));
+      text += num;
+    }
+    text += '\n';
+  }
+  return ml::Svr::deserialize(text).take();
+}
+
+/// The served prediction shape: each of kGrids kernels' 10 static features
+/// (one shared column prefix) against 34 frequency rows, on a linear and an
+/// RBF (gamma 0.1) SVR of `n_sv` support vectors each — the paper's model
+/// pair (the served model holds 1,569 and 937). serial = the per-row
+/// predict_one reference; parallel = the production Svr::predict, which
+/// finds the shared prefix and evaluates it once per support-vector block.
+CaseResult bench_svr_grid_predict(std::size_t n_sv, std::size_t threads, int reps) {
+  constexpr std::size_t kGrids = 64;
+  constexpr std::size_t kRows = 34;
+  constexpr std::size_t kStatic = 10;
+  const ml::Svr models[] = {synthetic_svr("linear", n_sv, 0x611D + n_sv),
+                            synthetic_svr("rbf", n_sv, 0x611E + n_sv)};
+  common::Xoshiro256 rng(0x6A1D);
+  std::vector<ml::Matrix> grids;
+  for (std::size_t g = 0; g < kGrids; ++g) {
+    ml::Matrix x(kRows, kStatic + 2);
+    for (std::size_t c = 0; c < kStatic; ++c) x(0, c) = rng.uniform(0.0, 1.0);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < kStatic; ++c) x(r, c) = x(0, c);
+      x(r, kStatic) = rng.uniform(0.0, 1.0);
+      x(r, kStatic + 1) = rng.uniform(0.0, 1.0);
+    }
+    grids.push_back(std::move(x));
+  }
+
+  std::vector<double> serial_out;
+  std::vector<double> parallel_out;
+  common::ThreadPool::set_global_threads(1);
+  const double serial_ms = time_ms(
+      [&] {
+        serial_out.clear();
+        for (const auto& svr : models) {
+          for (const auto& x : grids) {
+            for (std::size_t r = 0; r < kRows; ++r) serial_out.push_back(svr.predict_one(x.row(r)));
+          }
+        }
+      },
+      reps);
+  common::ThreadPool::set_global_threads(threads);
+  const double parallel_ms = time_ms(
+      [&] {
+        parallel_out.clear();
+        for (const auto& svr : models) {
+          for (const auto& x : grids) {
+            const auto y = svr.predict(x);
+            parallel_out.insert(parallel_out.end(), y.begin(), y.end());
+          }
+        }
+      },
+      reps);
+  const bool identical =
+      serial_out.size() == parallel_out.size() &&
+      std::memcmp(serial_out.data(), parallel_out.data(), serial_out.size() * sizeof(double)) ==
+          0;
+  return {"svr_grid_predict", n_sv, serial_ms, parallel_ms, identical};
 }
 
 /// O(n^2) Algorithm 1 vs the O(n log n) skyline on the same point cloud.
@@ -1272,7 +1353,10 @@ int main(int argc, char** argv) {
     }
   }
   if (threads == 0) threads = 1;
-  const int reps = smoke ? 1 : 3;
+  // Best of 3 in both modes: a smoke run is also the perf gate's committed
+  // baseline (BENCH_perf_stack_smoke.json), and a single repetition is too
+  // noisy to compare against a 25% bound.
+  const int reps = 3;
 
   std::printf("perf_stack: serial (1 thread / reference) vs parallel (%zu threads)%s\n\n",
               threads, smoke ? " [smoke]" : "");
@@ -1293,6 +1377,13 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> predict_sizes =
       smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{2000, 10000, 40000};
   for (std::size_t m : predict_sizes) run(bench_batch_predict(m, threads, reps));
+
+  // svr_grid_predict: "size" is the support-vector count of each model. Its
+  // smoke row takes milliseconds, so the gate's ratio (not its absolute
+  // slack) decides it; best of 10 keeps shared-machine noise under that.
+  const std::vector<std::size_t> grid_sv_counts =
+      smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{1024, 2048};
+  for (std::size_t n_sv : grid_sv_counts) run(bench_svr_grid_predict(n_sv, threads, 10));
 
   const std::vector<std::size_t> pareto_sizes =
       smoke ? std::vector<std::size_t>{500} : std::vector<std::size_t>{2000, 8000, 20000};

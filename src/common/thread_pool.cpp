@@ -117,7 +117,9 @@ void ThreadPool::parallel_for(
       impl_->queue.emplace_back([&run_chunk, c] { run_chunk(c); });
     }
   }
-  impl_->cv.notify_all();
+  // One wake-up per queued chunk: waking every idle worker for fewer
+  // chunks only adds context switches (the destructor still wakes all).
+  for (std::size_t c = 1; c < chunks; ++c) impl_->cv.notify_one();
   run_chunk(0);
   // Help drain the queue (our own chunks, or a concurrent caller's), then
   // block until every chunk of this job has finished.

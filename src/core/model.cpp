@@ -175,20 +175,36 @@ std::vector<PredictedPoint> FrequencyModel::predict_pareto(
     const clfront::StaticFeatures& features,
     std::span<const gpusim::FrequencyConfig> configs) const {
   // Model only the three upper memory clocks (mem-L is excluded, §4.5).
-  std::vector<gpusim::FrequencyConfig> modeled;
-  modeled.reserve(configs.size());
+  std::vector<gpusim::FrequencyConfig> grid;
+  grid.reserve(configs.size() + 1);
   for (const auto& c : configs) {
-    if (!is_mem_L(domain_, c.mem_mhz)) modeled.push_back(c);
+    if (!is_mem_L(domain_, c.mem_mhz)) grid.push_back(c);
   }
-  const auto predictions = predict_all(features, modeled);
+  const std::size_t modeled = grid.size();
+
+  // Heuristic: append the highest-core mem-L configuration (it is dominant
+  // in 11 of 12 of the paper's codes). Prefer one present in `configs`. It
+  // is predicted as one more grid row — a batch row equals predict_one bit
+  // for bit — and kept out of the Pareto set.
+  const auto* mem_L = domain_.find_domain(gpusim::MemLevel::kL);
+  const bool heuristic = mem_L != nullptr && !mem_L->actual_core_mhz.empty();
+  if (heuristic) {
+    gpusim::FrequencyConfig best{0, mem_L->mem_mhz};
+    for (const auto& c : configs) {
+      if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
+    }
+    if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
+    grid.push_back(best);
+  }
+  const auto predictions = predict_all(features, grid);
 
   // Pareto set of the predictions: the O(n log n) skyline computes the same
   // set as the paper's Algorithm 1 (see pareto_test); re-sorting by id
   // restores the naive algorithm's input-order output, keeping the result
   // byte-identical to the O(n^2) path.
   std::vector<pareto::Point> points;
-  points.reserve(predictions.size());
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
+  points.reserve(modeled);
+  for (std::size_t i = 0; i < modeled; ++i) {
     points.push_back({predictions[i].speedup, predictions[i].energy,
                       static_cast<std::uint32_t>(i)});
   }
@@ -199,18 +215,9 @@ std::vector<PredictedPoint> FrequencyModel::predict_pareto(
   std::vector<PredictedPoint> out;
   out.reserve(front.size() + 1);
   for (const auto& p : front) out.push_back(predictions[p.id]);
-
-  // Heuristic: append the highest-core mem-L configuration (it is dominant
-  // in 11 of 12 of the paper's codes). Prefer one present in `configs`.
-  const auto* mem_L = domain_.find_domain(gpusim::MemLevel::kL);
-  if (mem_L != nullptr && !mem_L->actual_core_mhz.empty()) {
-    gpusim::FrequencyConfig best{0, mem_L->mem_mhz};
-    for (const auto& c : configs) {
-      if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
-    }
-    if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
-    const auto w = assembler_.assemble(features, best);
-    out.push_back({best, speedup_->predict_one(w), energy_->predict_one(w), true});
+  if (heuristic) {
+    out.push_back(predictions.back());
+    out.back().heuristic = true;
   }
   return out;
 }

@@ -5,13 +5,18 @@
 // paper's O(n^2) Algorithm 1 on random inputs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
@@ -21,6 +26,7 @@
 #include "pareto/pareto.hpp"
 
 namespace rc = repro::common;
+namespace rs = repro::common::simd;
 namespace rm = repro::ml;
 namespace rp = repro::pareto;
 
@@ -40,6 +46,56 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 struct PoolGuard {
   ~PoolGuard() { rc::ThreadPool::set_global_threads(0); }
 };
+
+/// Restores the runtime SIMD toggle when the test scope ends.
+struct SimdGuard {
+  bool saved = rs::enabled();
+  ~SimdGuard() { rs::set_enabled(saved); }
+};
+
+const rm::KernelFunction kKernels[] = {rm::KernelFunction::linear(),
+                                       rm::KernelFunction::rbf(0.5),
+                                       rm::KernelFunction::polynomial(3, 0.5, 1.0)};
+
+/// Rows in a grid large enough that rows × support vectors (the fixtures
+/// keep >= 64) is above Svr::predict's serial cutoff, so it fans out.
+constexpr std::size_t kLargeGrid = 4096;
+
+rm::Svr fit_svr(const rm::KernelFunction& kernel, const rm::Matrix& x,
+                const std::vector<double>& y) {
+  rm::SvrParams params;
+  params.kernel = kernel;
+  params.c = 10.0;
+  params.epsilon = 0.01;  // a narrow tube keeps most samples as support vectors
+  params.max_iter = 50'000;
+  rm::Svr svr(params);
+  svr.fit(x, y);
+  EXPECT_GE(svr.num_support_vectors(), 64u) << rm::to_string(kernel.type);
+  return svr;
+}
+
+/// The per-point reference path.
+std::vector<double> predict_each(const rm::Svr& svr, const rm::Matrix& x) {
+  std::vector<double> out;
+  out.reserve(x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) out.push_back(svr.predict_one(x.row(r)));
+  return out;
+}
+
+/// A grid-shaped batch: every row repeats `base`'s first `p` columns bit for
+/// bit and draws the rest — a frequency grid is p = dim - 2 (one kernel's
+/// static features, then two clock columns).
+rm::Matrix grid(std::span<const double> base, std::size_t p, std::size_t rows,
+                std::uint64_t seed) {
+  rc::Xoshiro256 rng(seed);
+  rm::Matrix x(rows, base.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < base.size(); ++c) {
+      x(r, c) = c < p ? base[c] : rng.uniform(-1.0, 1.0);
+    }
+  }
+  return x;
+}
 
 }  // namespace
 
@@ -70,31 +126,84 @@ TEST(DeterminismTest, SvrTrainingIsThreadCountInvariant) {
 
 TEST(DeterminismTest, SvrBatchPredictMatchesPredictOneBitForBit) {
   PoolGuard guard;
+  SimdGuard simd_guard;
   rm::Matrix x;
   std::vector<double> y;
-  make_dataset(100, 8, 0xABCDEF, x, y);
-  rm::SvrParams params;
-  params.kernel = rm::KernelFunction::rbf(0.5);
-  params.c = 10.0;
-  rm::Svr svr(params);
-  svr.fit(x, y);
-
+  make_dataset(150, 8, 0xABCDEF, x, y);
   rm::Matrix x_test;
   std::vector<double> unused;
   make_dataset(257, 8, 0x7E57, x_test, unused);
 
-  // Serial reference: the per-point path.
-  std::vector<double> reference;
-  reference.reserve(x_test.rows());
-  for (std::size_t r = 0; r < x_test.rows(); ++r) {
-    reference.push_back(svr.predict_one(x_test.row(r)));
+  // Random rows (no shared prefix), then grids whose rows share a leading
+  // prefix of every length p = 0..dim. 35 rows stay on the calling thread;
+  // kLargeGrid rows fan out at 2 and 8 threads.
+  std::vector<rm::Matrix> inputs{x_test};
+  for (std::size_t p = 0; p <= x_test.cols(); ++p) {
+    inputs.push_back(grid(x_test.row(p), p, 35, 0x6A1D + p));
+    inputs.push_back(grid(x_test.row(p), p, kLargeGrid, 0x6A1E + p));
   }
 
-  for (std::size_t threads : kThreadCounts) {
-    rc::ThreadPool::set_global_threads(threads);
-    const auto batch = svr.predict(x_test);
-    EXPECT_TRUE(bitwise_equal(batch, reference)) << "threads=" << threads;
+  for (const auto& kernel : kKernels) {
+    rm::Svr svr = fit_svr(kernel, x, y);
+    for (const auto& in : inputs) {
+      const auto reference = predict_each(svr, in);
+      for (std::size_t threads : kThreadCounts) {
+        rc::ThreadPool::set_global_threads(threads);
+        for (bool simd : {true, false}) {
+          rs::set_enabled(simd);
+          EXPECT_TRUE(bitwise_equal(svr.predict(in), reference))
+              << rm::to_string(kernel.type) << " rows=" << in.rows()
+              << " threads=" << threads << " simd=" << simd;
+        }
+      }
+    }
   }
+}
+
+TEST(DeterminismTest, ConcurrentGridPredictsMatchPredictOne) {
+  // Four non-pool threads predict grids above the fan-out cutoff at once,
+  // directly and as a two-grid parallel_for batch. A caller waiting on its
+  // latch runs other callers' queued chunks on its own thread, so predict
+  // re-enters there mid-call: scratch reached through the thread (a
+  // thread_local buffer) would be overwritten while this call's chunks
+  // still read it.
+  PoolGuard guard;
+  rc::ThreadPool::set_global_threads(4);
+  rm::Matrix x;
+  std::vector<double> y;
+  make_dataset(150, 8, 0xC0C0, x, y);
+  const rm::Svr svrs[] = {fit_svr(kKernels[0], x, y), fit_svr(kKernels[1], x, y)};
+
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kPrefix = 6;  // the two trailing columns vary, as clocks do
+  std::vector<std::array<rm::Matrix, 2>> grids;
+  std::vector<std::array<std::vector<double>, 2>> refs;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    const rm::Svr& svr = svrs[t % 2];
+    grids.push_back({grid(x.row(2 * t), kPrefix, kLargeGrid, 0xCA11 + 2 * t),
+                     grid(x.row(2 * t + 1), kPrefix, kLargeGrid, 0xCA12 + 2 * t)});
+    refs.push_back({predict_each(svr, grids[t][0]), predict_each(svr, grids[t][1])});
+  }
+
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      const rm::Svr& svr = svrs[t % 2];
+      std::array<std::vector<double>, 2> batch;
+      for (int iter = 0; iter < 8; ++iter) {
+        if (!bitwise_equal(svr.predict(grids[t][0]), refs[t][0])) ++mismatches[t];
+        rc::ThreadPool::global().parallel_for(0, 2, 1, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t g = lo; g < hi; ++g) batch[g] = svr.predict(grids[t][g]);
+        });
+        for (std::size_t g = 0; g < 2; ++g) {
+          if (!bitwise_equal(batch[g], refs[t][g])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < kCallers; ++t) EXPECT_EQ(mismatches[t], 0) << "caller " << t;
 }
 
 TEST(DeterminismTest, MatrixMultiplyIsThreadCountInvariant) {
