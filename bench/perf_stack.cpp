@@ -167,74 +167,61 @@ CaseResult bench_batch_predict(std::size_t m, std::size_t threads, int reps) {
   return {"svr_batch_predict", m, serial_ms, parallel_ms, identical};
 }
 
-/// An SVR with `n_sv` random support vectors in [0, 1]^12 and coefficients
-/// in the C = 1000 box, built through the model text format: prediction
-/// cost depends only on the kernel and the support-vector count, so this
-/// skips an SMO run per size.
-ml::Svr synthetic_svr(const char* kernel, std::size_t n_sv, std::uint64_t seed) {
-  constexpr std::size_t kDim = 12;
-  common::Xoshiro256 rng(seed);
-  std::string text = std::string("svr ") + kernel + " 0.1 0 3 1000 0.1 0.25 " +
-                     std::to_string(n_sv) + " " + std::to_string(kDim) + "\n";
-  char num[32];
-  for (std::size_t i = 0; i < n_sv; ++i) {
-    std::snprintf(num, sizeof num, "%.17g", rng.uniform(-1000.0, 1000.0));
-    text += num;
-    for (std::size_t d = 0; d < kDim; ++d) {
-      std::snprintf(num, sizeof num, " %.17g", rng.uniform(0.0, 1.0));
-      text += num;
+/// The served prediction shape: kKernels kernels' static features against
+/// the default frequency grid (34 modeled rows plus the mem-L row) of a
+/// FrequencyModel whose linear and RBF (gamma 0.1) SVRs hold `n_sv`
+/// synthetic support vectors each — the paper's model pair (the served
+/// model holds 1,569 and 937). serial = per-configuration
+/// predict_speedup/predict_energy; parallel = predict_all over the grid,
+/// which pays the RBF's static exponentials once per kernel.
+CaseResult bench_model_grid_predict(std::size_t n_sv, int reps) {
+  constexpr std::size_t kKernels = 512;
+  const std::string text =
+      "gpufreq_model v2\ndevice Titan X\nbounds 135 1196 405 3505\ntraining_configs 0\n"
+      "training_samples 0\n=== speedup ===\nregressor v1 svr-linear\n" +
+      ml::make_synthetic_svr_text("linear", n_sv, core::kFeatureDim, 0x611D + n_sv) +
+      "=== energy ===\nregressor v1 svr-rbf\n" +
+      ml::make_synthetic_svr_text("rbf", n_sv, core::kFeatureDim, 0x611E + n_sv);
+  const auto model = core::FrequencyModel::deserialize(text).take();
+  // The rows predict_pareto(features) evaluates: the sampled grid's modeled
+  // rows, then its highest-core mem-L row.
+  const int mem_L = model.domain().find_domain(gpusim::MemLevel::kL)->mem_mhz;
+  std::vector<gpusim::FrequencyConfig> grid;
+  gpusim::FrequencyConfig mem_L_row{0, mem_L};
+  for (const auto& c : model.domain().sample_configs(40)) {
+    if (c.mem_mhz != mem_L) {
+      grid.push_back(c);
+    } else if (c.core_mhz > mem_L_row.core_mhz) {
+      mem_L_row = c;
     }
-    text += '\n';
   }
-  return ml::Svr::deserialize(text).take();
-}
-
-/// The served prediction shape: each of kGrids kernels' 10 static features
-/// (one shared column prefix) against 34 frequency rows, on a linear and an
-/// RBF (gamma 0.1) SVR of `n_sv` support vectors each — the paper's model
-/// pair (the served model holds 1,569 and 937). serial = the per-row
-/// predict_one reference; parallel = the production Svr::predict, which
-/// finds the shared prefix and evaluates it once per support-vector block.
-CaseResult bench_svr_grid_predict(std::size_t n_sv, std::size_t threads, int reps) {
-  constexpr std::size_t kGrids = 64;
-  constexpr std::size_t kRows = 34;
-  constexpr std::size_t kStatic = 10;
-  const ml::Svr models[] = {synthetic_svr("linear", n_sv, 0x611D + n_sv),
-                            synthetic_svr("rbf", n_sv, 0x611E + n_sv)};
+  grid.push_back(mem_L_row);
   common::Xoshiro256 rng(0x6A1D);
-  std::vector<ml::Matrix> grids;
-  for (std::size_t g = 0; g < kGrids; ++g) {
-    ml::Matrix x(kRows, kStatic + 2);
-    for (std::size_t c = 0; c < kStatic; ++c) x(0, c) = rng.uniform(0.0, 1.0);
-    for (std::size_t r = 0; r < kRows; ++r) {
-      for (std::size_t c = 0; c < kStatic; ++c) x(r, c) = x(0, c);
-      x(r, kStatic) = rng.uniform(0.0, 1.0);
-      x(r, kStatic + 1) = rng.uniform(0.0, 1.0);
-    }
-    grids.push_back(std::move(x));
+  std::vector<clfront::StaticFeatures> kernels(kKernels);
+  for (auto& f : kernels) {
+    for (double& c : f.counts) c = rng.uniform(0.0, 100.0);
   }
 
   std::vector<double> serial_out;
   std::vector<double> parallel_out;
-  common::ThreadPool::set_global_threads(1);
   const double serial_ms = time_ms(
       [&] {
         serial_out.clear();
-        for (const auto& svr : models) {
-          for (const auto& x : grids) {
-            for (std::size_t r = 0; r < kRows; ++r) serial_out.push_back(svr.predict_one(x.row(r)));
+        for (const auto& f : kernels) {
+          for (const auto& c : grid) {
+            serial_out.push_back(model.predict_speedup(f, c));
+            serial_out.push_back(model.predict_energy(f, c));
           }
         }
       },
       reps);
-  common::ThreadPool::set_global_threads(threads);
   const double parallel_ms = time_ms(
       [&] {
         parallel_out.clear();
-        for (const auto& svr : models) {
-          for (const auto& x : grids) {
-            const auto y = svr.predict(x);
-            parallel_out.insert(parallel_out.end(), y.begin(), y.end());
+        for (const auto& f : kernels) {
+          for (const auto& p : model.predict_all(f, grid)) {
+            parallel_out.push_back(p.speedup);
+            parallel_out.push_back(p.energy);
           }
         }
       },
@@ -243,7 +230,7 @@ CaseResult bench_svr_grid_predict(std::size_t n_sv, std::size_t threads, int rep
       serial_out.size() == parallel_out.size() &&
       std::memcmp(serial_out.data(), parallel_out.data(), serial_out.size() * sizeof(double)) ==
           0;
-  return {"svr_grid_predict", n_sv, serial_ms, parallel_ms, identical};
+  return {"model_grid_predict", n_sv, serial_ms, parallel_ms, identical};
 }
 
 /// O(n^2) Algorithm 1 vs the O(n log n) skyline on the same point cloud.
@@ -1378,12 +1365,12 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{2000, 10000, 40000};
   for (std::size_t m : predict_sizes) run(bench_batch_predict(m, threads, reps));
 
-  // svr_grid_predict: "size" is the support-vector count of each model. Its
+  // model_grid_predict: "size" is the support-vector count of each SVR. Its
   // smoke row takes milliseconds, so the gate's ratio (not its absolute
   // slack) decides it; best of 10 keeps shared-machine noise under that.
   const std::vector<std::size_t> grid_sv_counts =
       smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{1024, 2048};
-  for (std::size_t n_sv : grid_sv_counts) run(bench_svr_grid_predict(n_sv, threads, 10));
+  for (std::size_t n_sv : grid_sv_counts) run(bench_model_grid_predict(n_sv, 10));
 
   const std::vector<std::size_t> pareto_sizes =
       smoke ? std::vector<std::size_t>{500} : std::vector<std::size_t>{2000, 8000, 20000};

@@ -242,64 +242,6 @@ void add_scaled_pair_f32_unrolled(double* grad, const float* a, const float* b,
   }
 }
 
-// --- split reductions ----------------------------------------------------------
-//
-// One term of each reduction form — the expression dot/squared_distance
-// fold into a lane.
-template <bool kSquared>
-inline double split_term(double x, double r) noexcept {
-  if constexpr (kSquared) {
-    const double d = x - r;
-    return d * d;
-  } else {
-    return x * r;
-  }
-}
-
-/// The prefix stage, shared by both backends: it runs once per block of
-/// rows, not once per vector, so it is not worth a second implementation.
-template <bool kSquared>
-void split_prefix(double* part, const double* x, std::size_t n, std::size_t p,
-                  const double* rows, std::size_t stride, std::size_t m) noexcept {
-  const std::size_t p4 = p - p % kLanes;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double* r = rows + j * stride;
-    double lanes[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t i = 0; i < p4; i += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        lanes[l] += split_term<kSquared>(x[i + l], r[i + l]);
-      }
-    }
-    for (std::size_t t = 0; t < p - p4; ++t) {
-      lanes[t] += split_term<kSquared>(x[p4 + t], r[p4 + t]);
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) part[l * m + j] = lanes[l];
-    for (std::size_t k = 0; k < n - p; ++k) part[(kLanes + k) * m + j] = r[p + k];
-  }
-}
-
-/// First column at or after `p` that falls in lane `l`.
-inline std::size_t split_first_column(std::size_t p, std::size_t l) noexcept {
-  return p + (l + kLanes - p % kLanes) % kLanes;
-}
-
-/// The finish for rows [j_lo, m): continue each row's lanes with columns
-/// [p, n) — column i into lane i % 4 — then the fixed reduction.
-template <bool kSquared>
-void split_finish_unrolled(double* out, const double* part, std::size_t m, std::size_t j_lo,
-                           const double* x, std::size_t n, std::size_t p,
-                           double scale) noexcept {
-  for (std::size_t j = j_lo; j < m; ++j) {
-    double lanes[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] = part[l * m + j];
-    for (std::size_t i = p; i < n; ++i) {
-      lanes[i % kLanes] += split_term<kSquared>(x[i], part[(kLanes + i - p) * m + j]);
-    }
-    const double sum = reduce_lanes(lanes);
-    out[j] = kSquared ? scale * sum : sum;
-  }
-}
-
 }  // namespace
 
 // --- std-simd backend --------------------------------------------------------
@@ -429,36 +371,6 @@ void add_scaled_pair_f32_vector(double* grad, const float* a, const float* b,
     res.copy_to(grad + i, stdx::element_aligned);
   }
   add_scaled_pair_f32_unrolled(grad + n4, a + n4, b + n4, ca, cb, sign, n - n4);
-}
-
-/// The finish four rows at a time: SIMD element e carries row j + e, and
-/// each of its contract lanes is a separate vector, so every element runs
-/// split_finish_unrolled's exact scalar sequence.
-template <bool kSquared>
-void split_finish_vector(double* out, const double* part, std::size_t m, const double* x,
-                         std::size_t n, std::size_t p, double scale) noexcept {
-  std::size_t j = 0;
-  for (; j + kLanes <= m; j += kLanes) {
-    // Lane by lane, each lane's columns ascending: the accumulators stay
-    // named registers instead of a runtime-indexed array.
-    const auto lane = [&](std::size_t l) {
-      vdouble acc = load(part + l * m + j);
-      for (std::size_t i = split_first_column(p, l); i < n; i += kLanes) {
-        const vdouble r = load(part + (kLanes + i - p) * m + j);
-        if constexpr (kSquared) {
-          const vdouble d = vdouble(x[i]) - r;
-          acc += d * d;
-        } else {
-          acc += vdouble(x[i]) * r;
-        }
-      }
-      return acc;
-    };
-    vdouble sum = ((lane(0) + lane(1)) + lane(2)) + lane(3);
-    if constexpr (kSquared) sum = vdouble(scale) * sum;
-    sum.copy_to(out + j, stdx::element_aligned);
-  }
-  split_finish_unrolled<kSquared>(out, part, m, j, x, n, p, scale);
 }
 
 }  // namespace
@@ -618,44 +530,6 @@ void squared_distance_rows(std::span<double> out, std::span<const double> x,
   for (std::size_t j = 0; j < out.size(); ++j) {
     out[j] = scale * detail::squared_distance_unrolled(x.data(), rows + j * stride, n);
   }
-}
-
-void dot_split_prefix(std::span<double> part, std::span<const double> x, std::size_t p,
-                      const double* rows, std::size_t stride, std::size_t m) noexcept {
-  split_prefix<false>(part.data(), x.data(), x.size(), p, rows, stride, m);
-}
-
-void squared_distance_split_prefix(std::span<double> part, std::span<const double> x,
-                                   std::size_t p, const double* rows, std::size_t stride,
-                                   std::size_t m) noexcept {
-  split_prefix<true>(part.data(), x.data(), x.size(), p, rows, stride, m);
-}
-
-void dot_split_finish(std::span<double> out, std::span<const double> part,
-                      std::span<const double> x, std::size_t p) noexcept {
-#if defined(REPRO_HAVE_STD_SIMD)
-  if (enabled()) {
-    split_finish_vector<false>(out.data(), part.data(), out.size(), x.data(), x.size(), p,
-                               1.0);
-    return;
-  }
-#endif
-  split_finish_unrolled<false>(out.data(), part.data(), out.size(), 0, x.data(), x.size(), p,
-                               1.0);
-}
-
-void squared_distance_split_finish(std::span<double> out, std::span<const double> part,
-                                   std::span<const double> x, std::size_t p,
-                                   double scale) noexcept {
-#if defined(REPRO_HAVE_STD_SIMD)
-  if (enabled()) {
-    split_finish_vector<true>(out.data(), part.data(), out.size(), x.data(), x.size(), p,
-                              scale);
-    return;
-  }
-#endif
-  split_finish_unrolled<true>(out.data(), part.data(), out.size(), 0, x.data(), x.size(), p,
-                              scale);
 }
 
 void exp_batch(std::span<double> out, std::span<const double> x) noexcept {

@@ -112,62 +112,12 @@ void dot_rows(std::span<double> out, std::span<const double> x, const double* ro
 /// `out[j] = scale * squared_distance(x, rows + j * stride)`.
 ///
 /// The RBF pre-pass: with `scale = -gamma` the output feeds exp_batch
-/// directly. Same contract and batching rationale as dot_rows().
+/// directly. Same contract and batching rationale as dot_rows(). Each row
+/// is read for x.size() doubles from `rows + j * stride`, so offsetting
+/// `rows` by `c` selects columns `[c, c + x.size())` of a wider matrix.
 void squared_distance_rows(std::span<double> out, std::span<const double> x,
                            const double* rows, std::size_t stride,
                            double scale) noexcept;
-
-/// \name Split reductions
-///
-/// Under the contract above, column `i` always lands in lane `i % 4` (the
-/// tail included), and every lane starts at +0.0 and accumulates in
-/// ascending column order. A reduction can therefore be cut at any column
-/// `p`: the lane partials over the prefix `[0, p)` continued with the
-/// suffix `[p, n)` and reduced `((l0 + l1) + l2) + l3` are exactly the
-/// operations of the unsplit dot() / squared_distance(), so the result has
-/// the same bits. Callers whose vectors share a leading prefix (a frequency
-/// grid: one kernel's static features, many clock pairs) run the prefix
-/// stage once per block of rows and the finish once per vector.
-///
-/// The prefix stage fills `part` for a block of `m` rows, lane-major so the
-/// finish runs across rows:
-///  - `part[l * m + j]`, `l < kLanes`: lane `l` of row `j` over `[0, p)`;
-///  - `part[(kLanes + k) * m + j]`, `k < n - p`: column `p + k` of row `j`
-///    (the suffix, transposed once instead of once per vector).
-/// @{
-
-/// Doubles the prefix stage writes for a block of `m` rows of `n` columns
-/// split at `p`.
-[[nodiscard]] constexpr std::size_t split_part_size(std::size_t n, std::size_t p,
-                                                    std::size_t m) noexcept {
-  return (kLanes + n - p) * m;
-}
-
-/// \brief Prefix stage of `dot(x, rows + j * stride)` for `j < m`; reads
-/// only `x[0, p)`. \pre p <= x.size(); part.size() >= split_part_size(x.size(), p, m).
-void dot_split_prefix(std::span<double> part, std::span<const double> x, std::size_t p,
-                      const double* rows, std::size_t stride, std::size_t m) noexcept;
-
-/// \brief Prefix stage of `squared_distance(x, rows + j * stride)`; as
-/// dot_split_prefix().
-void squared_distance_split_prefix(std::span<double> part, std::span<const double> x,
-                                   std::size_t p, const double* rows, std::size_t stride,
-                                   std::size_t m) noexcept;
-
-/// \brief Finish: `out[j] = dot(x, row j)` for `j < out.size()` (= m) from
-/// a dot_split_prefix() `part`, bit for bit, for any `x` whose first `p`
-/// values equal bitwise those the prefix stage read. Reads only `x[p, n)`.
-void dot_split_finish(std::span<double> out, std::span<const double> part,
-                      std::span<const double> x, std::size_t p) noexcept;
-
-/// \brief Finish: `out[j] = scale * squared_distance(x, row j)` from a
-/// squared_distance_split_prefix() `part` — squared_distance_rows() bit
-/// for bit, under the same condition as dot_split_finish().
-void squared_distance_split_finish(std::span<double> out, std::span<const double> part,
-                                   std::span<const double> x, std::size_t p,
-                                   double scale) noexcept;
-
-/// @}
 
 /// \brief Deterministic exponential: `exp(x)` to within ~2 ulp of libm.
 ///

@@ -1,22 +1,207 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/simd.hpp"
 #include "ml/dataset.hpp"
 #include "ml/svr.hpp"
 #include "pareto/pareto.hpp"
 
 namespace repro::core {
 
+namespace detail {
+
+/// The rows of one Pareto query: the modeled configurations, then the
+/// mem-L heuristic row when the domain has one.
+struct ParetoGrid {
+  std::vector<gpusim::FrequencyConfig> rows;
+  std::size_t modeled = 0;
+};
+
+/// How one objective is evaluated, chosen from its fitted regressor.
+struct Evaluator {
+  enum class Form { kRegressor, kLinear, kRbf };
+  Form form = Form::kRegressor;
+  const ml::Regressor* regressor = nullptr;
+  const ml::Svr* svr = nullptr;     ///< kLinear and kRbf
+  std::vector<double> weights;      ///< kLinear: w = Σ_s coef_s · sv_s
+  std::vector<double> clock_table;  ///< kRbf: one row of clock factors per grid row
+};
+
+struct EvaluationPlan {
+  ParetoGrid grid;  ///< predict_pareto(features)'s rows
+  Evaluator speedup;
+  Evaluator energy;
+};
+
+}  // namespace detail
+
 namespace {
+
+/// The assembled input's column boundary (FeatureAssembler's layout): the
+/// static features, then the normalized clock pair. It is a property of
+/// core's inputs, not of ml::Svr, so the RBF factorization lives here.
+constexpr std::size_t kStatic = clfront::kNumFeatures;
+constexpr std::size_t kClocks = kFeatureDim - kStatic;
+/// table_row() of a configuration outside the plan's grid.
+constexpr std::size_t kOffGrid = static_cast<std::size_t>(-1);
 
 bool is_mem_L(const gpusim::FrequencyDomain& domain, int mem_mhz) {
   const auto level = domain.level_of(mem_mhz);
   return level.ok() && level.value() == gpusim::MemLevel::kL;
+}
+
+detail::ParetoGrid pareto_grid(const gpusim::FrequencyDomain& domain,
+                               std::span<const gpusim::FrequencyConfig> configs) {
+  // Model only the three upper memory clocks (mem-L is excluded, §4.5).
+  detail::ParetoGrid grid;
+  grid.rows.reserve(configs.size() + 1);
+  for (const auto& c : configs) {
+    if (!is_mem_L(domain, c.mem_mhz)) grid.rows.push_back(c);
+  }
+  grid.modeled = grid.rows.size();
+
+  // Heuristic: append the highest-core mem-L configuration (it is dominant
+  // in 11 of 12 of the paper's codes). Prefer one present in `configs`. It
+  // is predicted as one more row and kept out of the Pareto set.
+  const auto* mem_L = domain.find_domain(gpusim::MemLevel::kL);
+  if (mem_L != nullptr && !mem_L->actual_core_mhz.empty()) {
+    gpusim::FrequencyConfig best{0, mem_L->mem_mhz};
+    for (const auto& c : configs) {
+      if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
+    }
+    if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
+    grid.rows.push_back(best);
+  }
+  return grid;
+}
+
+std::size_t table_row(const detail::ParetoGrid& grid, gpusim::FrequencyConfig config) {
+  const auto it = std::find(grid.rows.begin(), grid.rows.end(), config);
+  return it == grid.rows.end() ? kOffGrid : static_cast<std::size_t>(it - grid.rows.begin());
+}
+
+/// `out[s] = exp(−γ‖clocks − sv_s[kStatic:]‖²)`: one row's RBF clock factors.
+void clock_factors(const ml::Svr& svr, std::span<const double> clocks, std::span<double> out) {
+  common::simd::squared_distance_rows(out, clocks,
+                                      svr.support_vectors().data().data() + kStatic,
+                                      kFeatureDim, -svr.params().kernel.gamma);
+  common::simd::exp_batch(out, out);
+}
+
+detail::Evaluator make_evaluator(const ml::Regressor& regressor, const detail::ParetoGrid& grid,
+                                 const FeatureAssembler& assembler) {
+  using Form = detail::Evaluator::Form;
+  detail::Evaluator e;
+  e.regressor = &regressor;
+  const auto* svr = dynamic_cast<const ml::Svr*>(&regressor);
+  if (svr == nullptr) return e;
+  const auto& sv = svr->support_vectors();
+  const auto& coef = svr->coefficients();
+  const std::size_t n = coef.size();
+  if (svr->params().kernel.type == ml::KernelType::kLinear) {
+    e.form = Form::kLinear;
+    e.svr = svr;
+    e.weights.assign(kFeatureDim, 0.0);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t d = 0; d < kFeatureDim; ++d) e.weights[d] += coef[s] * sv(s, d);
+    }
+  } else if (svr->params().kernel.type == ml::KernelType::kRbf) {
+    e.form = Form::kRbf;
+    e.svr = svr;
+    e.clock_table.resize(grid.rows.size() * n);
+    for (std::size_t r = 0; r < grid.rows.size(); ++r) {
+      const auto x = assembler.assemble(std::array<double, kStatic>{}, grid.rows[r]);
+      clock_factors(*svr, std::span(x).last(kClocks), {e.clock_table.data() + r * n, n});
+    }
+  }
+  return e;
+}
+
+/// One objective at every row of `x`, whose rows share their static
+/// columns; `table_rows[r]` is row r's clock-factor row in the plan, or
+/// kOffGrid to compute it here with the same calls that built the table.
+std::vector<double> evaluate(const detail::Evaluator& e, const ml::Matrix& x,
+                             std::span<const std::size_t> table_rows) {
+  using Form = detail::Evaluator::Form;
+  if (e.form == Form::kRegressor) return e.regressor->predict(x);
+  std::vector<double> out(x.rows());
+  const double b = e.svr->bias();
+  if (e.form == Form::kLinear) {
+    for (std::size_t r = 0; r < x.rows(); ++r) out[r] = b + common::simd::dot(e.weights, x.row(r));
+    return out;
+  }
+  if (x.rows() == 0) return out;
+  // exp(−γ‖x − s‖²) = exp(−γ‖x_p − s_p‖²) · exp(−γ‖x_c − s_c‖²): the
+  // static factor, times its coefficient, once per request ...
+  const auto& coef = e.svr->coefficients();
+  const std::size_t n = coef.size();
+  std::vector<double> a(n);
+  common::simd::squared_distance_rows(a, x.row(0).first(kStatic),
+                                      e.svr->support_vectors().data().data(), kFeatureDim,
+                                      -e.svr->params().kernel.gamma);
+  common::simd::exp_batch(a, a);
+  for (std::size_t s = 0; s < n; ++s) a[s] = coef[s] * a[s];
+  // ... and one dot product against each row's clock factors.
+  std::vector<double> off_grid;
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    std::span<const double> t;
+    if (table_rows[r] != kOffGrid) {
+      t = {e.clock_table.data() + table_rows[r] * n, n};
+    } else {
+      off_grid.resize(n);
+      clock_factors(*e.svr, x.row(r).last(kClocks), off_grid);
+      t = off_grid;
+    }
+    out[r] = b + common::simd::dot(a, t);
+  }
+  return out;
+}
+
+/// One objective at one configuration: a one-row evaluate().
+double evaluate_one(const detail::Evaluator& e, const detail::ParetoGrid& grid,
+                    const FeatureAssembler& assembler, const clfront::StaticFeatures& features,
+                    gpusim::FrequencyConfig config) {
+  ml::Matrix x(0, 0);
+  x.push_row(assembler.assemble(features, config));
+  const std::size_t row = table_row(grid, config);
+  return evaluate(e, x, {&row, 1})[0];
+}
+
+/// predict_pareto over `grid`'s rows: the Pareto set of the modeled rows,
+/// then the mem-L heuristic row.
+std::vector<PredictedPoint> pareto_of(const FrequencyModel& model,
+                                      const clfront::StaticFeatures& features,
+                                      const detail::ParetoGrid& grid) {
+  const auto predictions = model.predict_all(features, grid.rows);
+
+  // Pareto set of the predictions: the O(n log n) skyline computes the same
+  // set as the paper's Algorithm 1 (see pareto_test); re-sorting by id
+  // restores the naive algorithm's input-order output, keeping the result
+  // byte-identical to the O(n^2) path.
+  std::vector<pareto::Point> points;
+  points.reserve(grid.modeled);
+  for (std::size_t i = 0; i < grid.modeled; ++i) {
+    points.push_back({predictions[i].speedup, predictions[i].energy,
+                      static_cast<std::uint32_t>(i)});
+  }
+  auto front = pareto::pareto_set_fast(points);
+  std::sort(front.begin(), front.end(),
+            [](const pareto::Point& a, const pareto::Point& b) { return a.id < b.id; });
+
+  std::vector<PredictedPoint> out;
+  out.reserve(front.size() + 1);
+  for (const auto& p : front) out.push_back(predictions[p.id]);
+  if (grid.rows.size() > grid.modeled) {
+    out.push_back(predictions.back());
+    out.back().heuristic = true;
+  }
+  return out;
 }
 
 void log_fit(const char* objective, const ml::Regressor& model) {
@@ -90,6 +275,7 @@ common::Result<FrequencyModel> FrequencyModel::train(
   model.energy_->fit(x, y_energy);
   log_fit("energy", *model.energy_);
 
+  model.build_plan();
   return model;
 }
 
@@ -136,32 +322,42 @@ common::Result<FrequencyModel> FrequencyModel::train_or_load(
   return train_or_load(SimulatorBackend(simulator), suite, options, cache_path);
 }
 
+void FrequencyModel::build_plan() {
+  auto plan = std::make_shared<detail::EvaluationPlan>();
+  plan->grid = pareto_grid(domain_, domain_.sample_configs(training_configs_.empty()
+                                                               ? 40
+                                                               : training_configs_.size()));
+  plan->speedup = make_evaluator(*speedup_, plan->grid, assembler_);
+  plan->energy = make_evaluator(*energy_, plan->grid, assembler_);
+  plan_ = std::move(plan);
+}
+
 double FrequencyModel::predict_speedup(const clfront::StaticFeatures& features,
                                        gpusim::FrequencyConfig config) const {
-  const auto w = assembler_.assemble(features, config);
-  return speedup_->predict_one(w);
+  return evaluate_one(plan_->speedup, plan_->grid, assembler_, features, config);
 }
 
 double FrequencyModel::predict_energy(const clfront::StaticFeatures& features,
                                       gpusim::FrequencyConfig config) const {
-  const auto w = assembler_.assemble(features, config);
-  return energy_->predict_one(w);
+  return evaluate_one(plan_->energy, plan_->grid, assembler_, features, config);
 }
 
 std::vector<PredictedPoint> FrequencyModel::predict_all(
     const clfront::StaticFeatures& features,
     std::span<const gpusim::FrequencyConfig> configs) const {
-  // Assemble the feature matrix for the whole grid once, then one batch
-  // prediction per objective — the regressors' batch paths parallelize
-  // across configurations (SVR additionally blocks over support vectors).
+  // Assemble the inputs once; a configuration on the plan's grid reads its
+  // RBF clock factors from the table, any other computes them.
   const auto normalized = features.normalized();
   ml::Matrix x(0, 0);
   x.reserve_rows(configs.size(), kFeatureDim);
+  std::vector<std::size_t> rows;
+  rows.reserve(configs.size());
   for (const auto& config : configs) {
     x.push_row(assembler_.assemble(normalized, config));
+    rows.push_back(table_row(plan_->grid, config));
   }
-  const auto speedups = speedup_->predict(x);
-  const auto energies = energy_->predict(x);
+  const auto speedups = evaluate(plan_->speedup, x, rows);
+  const auto energies = evaluate(plan_->energy, x, rows);
 
   std::vector<PredictedPoint> out;
   out.reserve(configs.size());
@@ -174,60 +370,12 @@ std::vector<PredictedPoint> FrequencyModel::predict_all(
 std::vector<PredictedPoint> FrequencyModel::predict_pareto(
     const clfront::StaticFeatures& features,
     std::span<const gpusim::FrequencyConfig> configs) const {
-  // Model only the three upper memory clocks (mem-L is excluded, §4.5).
-  std::vector<gpusim::FrequencyConfig> grid;
-  grid.reserve(configs.size() + 1);
-  for (const auto& c : configs) {
-    if (!is_mem_L(domain_, c.mem_mhz)) grid.push_back(c);
-  }
-  const std::size_t modeled = grid.size();
-
-  // Heuristic: append the highest-core mem-L configuration (it is dominant
-  // in 11 of 12 of the paper's codes). Prefer one present in `configs`. It
-  // is predicted as one more grid row — a batch row equals predict_one bit
-  // for bit — and kept out of the Pareto set.
-  const auto* mem_L = domain_.find_domain(gpusim::MemLevel::kL);
-  const bool heuristic = mem_L != nullptr && !mem_L->actual_core_mhz.empty();
-  if (heuristic) {
-    gpusim::FrequencyConfig best{0, mem_L->mem_mhz};
-    for (const auto& c : configs) {
-      if (c.mem_mhz == mem_L->mem_mhz && c.core_mhz > best.core_mhz) best = c;
-    }
-    if (best.core_mhz == 0) best = {mem_L->actual_core_mhz.back(), mem_L->mem_mhz};
-    grid.push_back(best);
-  }
-  const auto predictions = predict_all(features, grid);
-
-  // Pareto set of the predictions: the O(n log n) skyline computes the same
-  // set as the paper's Algorithm 1 (see pareto_test); re-sorting by id
-  // restores the naive algorithm's input-order output, keeping the result
-  // byte-identical to the O(n^2) path.
-  std::vector<pareto::Point> points;
-  points.reserve(modeled);
-  for (std::size_t i = 0; i < modeled; ++i) {
-    points.push_back({predictions[i].speedup, predictions[i].energy,
-                      static_cast<std::uint32_t>(i)});
-  }
-  auto front = pareto::pareto_set_fast(points);
-  std::sort(front.begin(), front.end(),
-            [](const pareto::Point& a, const pareto::Point& b) { return a.id < b.id; });
-
-  std::vector<PredictedPoint> out;
-  out.reserve(front.size() + 1);
-  for (const auto& p : front) out.push_back(predictions[p.id]);
-  if (heuristic) {
-    out.push_back(predictions.back());
-    out.back().heuristic = true;
-  }
-  return out;
+  return pareto_of(*this, features, pareto_grid(domain_, configs));
 }
 
 std::vector<PredictedPoint> FrequencyModel::predict_pareto(
     const clfront::StaticFeatures& features) const {
-  const auto configs = domain_.sample_configs(training_configs_.empty()
-                                                  ? 40
-                                                  : training_configs_.size());
-  return predict_pareto(features, configs);
+  return pareto_of(*this, features, plan_->grid);
 }
 
 std::string FrequencyModel::serialize() const {
@@ -305,6 +453,14 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   if (!speedup.ok()) return speedup.error();
   auto energy = ml::deserialize_regressor(energy_text);
   if (!energy.ok()) return energy.error();
+  for (const auto* section : {&speedup, &energy}) {
+    const ml::Regressor& regressor = *section->value();
+    if (regressor.num_features() != kFeatureDim) {
+      return common::parse_error("FrequencyModel: " + regressor.name() + " model takes " +
+                                 std::to_string(regressor.num_features()) +
+                                 " features, expected " + std::to_string(kFeatureDim));
+    }
+  }
 
   // The domain is reconstructed from the device name (only the two known
   // simulated devices are supported).
@@ -319,6 +475,7 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   model.energy_key_ = model.energy_->name();
   model.training_configs_ = std::move(configs);
   model.training_samples_ = n_samples;
+  model.build_plan();
   return model;
 }
 

@@ -15,6 +15,15 @@
 // two lowest memory clocks are handled per the paper: mem-L is excluded
 // from modeling and its highest-core configuration is appended to the
 // predicted set heuristically (§4.5).
+//
+// Evaluation: every entry point goes through an immutable plan built once
+// at the end of train() and deserialize() — the default Pareto grid plus a
+// closed form per objective. A linear-kernel SVR collapses to b + w·x; an
+// RBF SVR factors each kernel value at the static/clock column boundary,
+// so a request pays one exponential per support vector and each grid row
+// one dot product against a clock-factor table (docs/DETERMINISM.md,
+// "Reference moves"). Other regressor families evaluate through
+// ml::Regressor as fitted.
 #pragma once
 
 #include <memory>
@@ -33,6 +42,10 @@
 #include "pareto/pareto.hpp"
 
 namespace repro::core {
+
+namespace detail {
+struct EvaluationPlan;  // model.cpp
+}  // namespace detail
 
 /// Which regressor family models each objective (registry keys, see
 /// ml::registered_regressors()) and the hyperparameters handed to the
@@ -132,7 +145,8 @@ class FrequencyModel {
   // --- persistence -----------------------------------------------------------
   /// Version 2 format: header + training metadata + two polymorphic
   /// regressor sections (ml::serialize_regressor envelopes). Any registered
-  /// regressor family round-trips.
+  /// regressor family round-trips; deserialize() rejects one whose input
+  /// width is not kFeatureDim with a parse error.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static common::Result<FrequencyModel> deserialize(const std::string& text);
   [[nodiscard]] common::Status save(const std::string& path) const;
@@ -142,6 +156,10 @@ class FrequencyModel {
   FrequencyModel(gpusim::FrequencyDomain domain, FeatureAssembler assembler)
       : domain_(std::move(domain)), assembler_(assembler) {}
 
+  /// The last step of train() and deserialize(): fixes the default Pareto
+  /// grid and picks each objective's evaluator from its fitted regressor.
+  void build_plan();
+
   gpusim::FrequencyDomain domain_;
   FeatureAssembler assembler_;
   std::string speedup_key_ = "svr-linear";
@@ -150,6 +168,7 @@ class FrequencyModel {
   std::unique_ptr<ml::Regressor> energy_;
   std::vector<gpusim::FrequencyConfig> training_configs_;
   std::size_t training_samples_ = 0;
+  std::shared_ptr<const detail::EvaluationPlan> plan_;
 };
 
 }  // namespace repro::core

@@ -6,15 +6,6 @@
 
 namespace repro::ml {
 
-namespace {
-
-/// The polynomial kernel's scalar step over reduced dot products.
-void raise_polynomial(std::span<double> dots, const KernelFunction& k) noexcept {
-  for (double& v : dots) v = std::pow(k.gamma * v + k.coef0, k.degree);
-}
-
-}  // namespace
-
 const char* to_string(KernelType t) noexcept {
   switch (t) {
     case KernelType::kLinear: return "linear";
@@ -67,38 +58,9 @@ void KernelFunction::evaluate_row(std::span<const double> x, const Matrix& data,
       return;
     case KernelType::kPolynomial:
       common::simd::dot_rows(out.first(m), x, rows, stride);
-      raise_polynomial(out.first(m), *this);
-      return;
-  }
-}
-
-void KernelFunction::split_prefix(std::span<const double> x, std::size_t p,
-                                  const Matrix& data, std::size_t j_lo, std::size_t j_hi,
-                                  std::span<double> part) const noexcept {
-  const std::size_t m = j_hi - j_lo;
-  if (m == 0) return;
-  const double* rows = data.row(j_lo).data();
-  if (type == KernelType::kRbf) {
-    common::simd::squared_distance_split_prefix(part, x, p, rows, data.cols(), m);
-  } else {
-    common::simd::dot_split_prefix(part, x, p, rows, data.cols(), m);
-  }
-}
-
-void KernelFunction::evaluate_row_split(std::span<const double> part,
-                                        std::span<const double> x, std::size_t p,
-                                        std::span<double> out) const noexcept {
-  switch (type) {
-    case KernelType::kLinear:
-      common::simd::dot_split_finish(out, part, x, p);
-      return;
-    case KernelType::kRbf:
-      common::simd::squared_distance_split_finish(out, part, x, p, -gamma);
-      common::simd::exp_batch(out, out);
-      return;
-    case KernelType::kPolynomial:
-      common::simd::dot_split_finish(out, part, x, p);
-      raise_polynomial(out, *this);
+      for (std::size_t j = 0; j < m; ++j) {
+        out[j] = std::pow(gamma * out[j] + coef0, degree);
+      }
       return;
   }
 }

@@ -53,20 +53,6 @@ struct KernelFunction {
   void evaluate_row(std::span<const double> x, const Matrix& data, std::size_t j_lo,
                     std::size_t j_hi, std::span<double> out) const noexcept;
 
-  /// \brief Split row evaluation, prefix stage: the common::simd split
-  /// partials of rows `[j_lo, j_hi)` of `data` over x's first `p` columns.
-  /// Computed once for every x that shares those columns bit for bit; each
-  /// such x then needs only evaluate_row_split.
-  /// \pre part.size() >= common::simd::split_part_size(x.size(), p, j_hi - j_lo).
-  void split_prefix(std::span<const double> x, std::size_t p, const Matrix& data,
-                    std::size_t j_lo, std::size_t j_hi, std::span<double> part) const noexcept;
-
-  /// \brief Split row evaluation, finish: `out[j] = k(x, data.row(j_lo + j))`
-  /// for `j < out.size()` from split_prefix()'s `part` — evaluate_row bit
-  /// for bit when x's first `p` columns are bitwise those split_prefix read.
-  void evaluate_row_split(std::span<const double> part, std::span<const double> x,
-                          std::size_t p, std::span<double> out) const noexcept;
-
   /// \brief The paper's speedup-model kernel.
   [[nodiscard]] static KernelFunction linear() { return {KernelType::kLinear, 0.0, 0.0, 0}; }
   /// \brief The paper's energy-model kernel (\p gamma = 0.1 in §3.4).

@@ -25,6 +25,7 @@ class Lasso final : public Regressor {
   [[nodiscard]] double predict_one(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "lasso"; }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
+  [[nodiscard]] std::size_t num_features() const noexcept override { return coef_.size(); }
 
   [[nodiscard]] const std::vector<double>& coefficients() const noexcept { return coef_; }
   [[nodiscard]] double intercept() const noexcept { return intercept_; }

@@ -27,6 +27,7 @@ class LinearRegression final : public Regressor {
   /// or cache-key comparisons and serialized envelopes get the wrong family.
   void set_family(std::string family) { family_ = std::move(family); }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
+  [[nodiscard]] std::size_t num_features() const noexcept override { return coef_.size(); }
 
   [[nodiscard]] const std::vector<double>& coefficients() const noexcept { return coef_; }
   [[nodiscard]] double intercept() const noexcept { return intercept_; }

@@ -24,8 +24,12 @@ class Regressor {
   /// Fit on training data; y.size() must equal x.rows().
   virtual void fit(const Matrix& x, const std::vector<double>& y) = 0;
 
-  /// Predict a single sample (x.size() == num_features at fit time).
+  /// Predict a single sample (x.size() == num_features()); a sample of
+  /// another width throws std::invalid_argument.
   [[nodiscard]] virtual double predict_one(std::span<const double> x) const = 0;
+
+  /// Input width the model was fitted on or deserialized with.
+  [[nodiscard]] virtual std::size_t num_features() const noexcept = 0;
 
   /// Registry key of this model ("svr-linear", "ols", "lasso", ...).
   [[nodiscard]] virtual std::string name() const = 0;

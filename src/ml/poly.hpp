@@ -26,6 +26,7 @@ class PolynomialRegression final : public Regressor {
   [[nodiscard]] double predict_one(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "poly"; }
   [[nodiscard]] bool fitted() const noexcept override { return linear_.fitted(); }
+  [[nodiscard]] std::size_t num_features() const noexcept override { return input_dim_; }
 
   /// Expand a sample into the polynomial basis (exposed for tests).
   [[nodiscard]] std::vector<double> expand(std::span<const double> x) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -23,35 +22,11 @@ constexpr double kTau = 1e-12;  // floor for the quadratic coefficient
 /// matching coefficient block.
 constexpr std::size_t kSvBlock = 64;
 
-/// Longest column suffix Svr::predict evaluates split: the stack scratch
-/// holds a block's prefix lanes plus this many transposed suffix columns.
-/// A frequency grid's suffix is its two clock columns.
-constexpr std::size_t kMaxSplitSuffix = common::simd::kLanes;
-
 /// Kernel evaluations (rows × support vectors) under which Svr::predict
-/// stays on the calling thread: below ~2^15 full evaluations the pass is
+/// stays on the calling thread: below ~2^15 evaluations the pass is
 /// microseconds and a fan-out costs more in wake-ups and latch waits than
-/// it saves. A split evaluation of a 12-column grid costs about half a full
-/// one (linear kernel, 1.4 vs 2.8 ns, single thread, 4-vCPU x86-64), so
-/// the same time budget is ~2^16 of them; a fan-out also repeats the
-/// prefix stage once per chunk.
+/// it saves.
 constexpr std::size_t kSerialEvaluations = 32768;
-constexpr std::size_t kSplitSerialEvaluations = 65536;
-
-/// Leading columns on which every row of x agrees bit for bit — memcmp,
-/// not ==, so NaN payloads and ±0.0 are never merged.
-std::size_t shared_prefix(const Matrix& x) noexcept {
-  if (x.rows() == 0) return 0;
-  const double* first = x.row(0).data();
-  std::size_t p = x.cols();
-  for (std::size_t r = 1; r < x.rows() && p > 0; ++r) {
-    const double* row = x.row(r).data();
-    std::size_t c = 0;
-    while (c < p && std::memcmp(row + c, first + c, sizeof(double)) == 0) ++c;
-    p = c;
-  }
-  return p;
-}
 
 /// Row-block edge for the kernel cache fill; 16 rows keep the mirror
 /// stripe (16 floats = one cache line per destination row) dense.
@@ -339,7 +314,7 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   for (std::size_t i = 0; i < n; ++i) {
     if (beta[i] - beta[i + n] != 0.0) ++num_sv;
   }
-  sv_ = Matrix(0, 0);
+  sv_ = Matrix(0, x.cols());  // keeps the input width even with no support vectors
   sv_.reserve_rows(num_sv, x.cols());
   sv_coef_.clear();
   sv_coef_.reserve(num_sv);
@@ -359,22 +334,18 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
 
 double Svr::predict_one(std::span<const double> x) const {
   if (!fitted_) throw std::logic_error("Svr::predict_one before fit");
+  if (x.size() != sv_.cols()) throw std::invalid_argument("Svr::predict: width mismatch");
   std::array<double, kSvBlock> buf;
   return decision(params_.kernel, sv_, sv_coef_, b_, x, buf);
 }
 
 std::vector<double> Svr::predict(const Matrix& x) const {
   if (!fitted_) throw std::logic_error("Svr::predict before fit");
+  if (x.rows() > 0 && x.cols() != sv_.cols()) {
+    throw std::invalid_argument("Svr::predict: width mismatch");
+  }
   const std::size_t n_sv = sv_.rows();
   std::vector<double> out(x.rows(), b_);
-  // Rows that agree bitwise on a leading column prefix — a frequency grid:
-  // one kernel's static features, many clock pairs — share that prefix's
-  // lane partials against every support vector. With a short enough suffix
-  // they are computed once per block (split_prefix) and each row adds only
-  // its suffix columns (evaluate_row_split): the same IEEE operations as
-  // evaluate_row, so the same bits.
-  const std::size_t p = shared_prefix(x);
-  const bool split = x.rows() > 1 && x.cols() - p <= kMaxSplitSuffix;
   // One blocked pass over (test rows x support vectors) instead of x.rows()
   // independent predict_one loops: the support-vector block stays hot in
   // cache across the rows of a block. Per row the blocks accumulate in the
@@ -384,24 +355,18 @@ std::vector<double> Svr::predict(const Matrix& x) const {
     // Stack scratch, never thread_local: while parallel_for's caller waits
     // it runs other callers' chunks, which re-enter predict on this thread.
     std::array<double, kSvBlock> buf;
-    std::array<double, (common::simd::kLanes + kMaxSplitSuffix) * kSvBlock> part;
     for (std::size_t sb = 0; sb < n_sv; sb += kSvBlock) {
       const std::size_t len = std::min(kSvBlock, n_sv - sb);
       const std::span<double> k(buf.data(), len);
-      if (split) params_.kernel.split_prefix(x.row(lo), p, sv_, sb, sb + len, part);
       for (std::size_t r = lo; r < hi; ++r) {
-        if (split) {
-          params_.kernel.evaluate_row_split(part, x.row(r), p, k);
-        } else {
-          params_.kernel.evaluate_row(x.row(r), sv_, sb, sb + len, k);
-        }
+        params_.kernel.evaluate_row(x.row(r), sv_, sb, sb + len, k);
         out[r] += common::simd::dot({sv_coef_.data() + sb, len}, k);
       }
     }
   };
   // Rows accumulate in the same block order serial or fanned out —
   // bit-identical either way.
-  if (x.rows() * n_sv < (split ? kSplitSerialEvaluations : kSerialEvaluations)) {
+  if (x.rows() * n_sv < kSerialEvaluations) {
     body(0, x.rows());
   } else {
     common::ThreadPool::global().parallel_for(0, x.rows(), 32, body);
@@ -457,6 +422,7 @@ common::Result<Svr> Svr::deserialize(const std::string& text) {
 
   Svr model(params);
   model.b_ = b;
+  model.sv_ = Matrix(0, dim);
   model.sv_.reserve_rows(n_sv, dim);
   model.sv_coef_.reserve(n_sv);
   std::vector<double> row(dim);

@@ -67,11 +67,16 @@ class Svr final : public Regressor {
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
+  [[nodiscard]] std::size_t num_features() const noexcept override { return sv_.cols(); }
 
   [[nodiscard]] const SvrParams& params() const noexcept { return params_; }
   [[nodiscard]] const SvrTrainingInfo& training_info() const noexcept { return info_; }
   [[nodiscard]] double bias() const noexcept { return b_; }
   [[nodiscard]] std::size_t num_support_vectors() const noexcept { return sv_.rows(); }
+  /// Support vectors, one per row, and their coefficients α_s − α_s*: the
+  /// decision function is bias() + Σ_s coefficients()[s] · k(sv_s, x).
+  [[nodiscard]] const Matrix& support_vectors() const noexcept { return sv_; }
+  [[nodiscard]] const std::vector<double>& coefficients() const noexcept { return sv_coef_; }
 
   /// Text round-trip for model persistence.
   [[nodiscard]] std::string serialize() const override;

@@ -79,6 +79,7 @@ std::vector<Point> pareto_set_fast(std::span<const Point> points) {
   });
 
   std::vector<Point> frontier;
+  frontier.reserve(sorted.size());  // one allocation, not one per doubling
   double best_energy = sorted.front().energy;
   double best_speedup = sorted.front().speedup;
   frontier.push_back(sorted.front());

@@ -2,7 +2,10 @@
 // prediction with the mem-L heuristic, and model persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <span>
 
@@ -11,6 +14,7 @@
 #include "core/model.hpp"
 #include "gpusim/simulator.hpp"
 #include "kernels/kernels.hpp"
+#include "ml/synthetic.hpp"
 #include "pareto/pareto.hpp"
 
 namespace rco = repro::core;
@@ -44,6 +48,19 @@ const rco::FrequencyModel& trained_model() {
   }();
   return model;
 }
+
+/// Static features of the 12 test kernels and the 106 benchgen kernels.
+std::vector<repro::clfront::StaticFeatures> all_kernel_features() {
+  std::vector<repro::clfront::StaticFeatures> out;
+  for (const auto& b : repro::kernels::test_suite()) {
+    out.push_back(repro::kernels::benchmark_features(b).value());
+  }
+  const auto suite = rb::generate_training_suite().value();
+  for (const auto& mb : suite) out.push_back(mb.features);
+  return out;
+}
+
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 }  // namespace
 
@@ -128,6 +145,85 @@ TEST(FrequencyModelTest, PredictAllCoversRequestedConfigs) {
     EXPECT_TRUE(std::isfinite(p.speedup));
     EXPECT_TRUE(std::isfinite(p.energy));
     EXPECT_FALSE(p.heuristic);
+  }
+}
+
+TEST(FrequencyModelTest, ClosedFormTracksTheUnfactoredSvrs) {
+  // The plan's closed forms (b + w·x; the RBF kernel factored at the
+  // static/clock boundary) against each SVR's unfactored predict_one on
+  // the default grid: within 1e-11 relative, with the same Pareto set.
+  const auto& model = trained_model();
+  const auto configs = model.domain().sample_configs(model.training_configs().size());
+  const int mem_L = model.domain().find_domain(rg::MemLevel::kL)->mem_mhz;
+  double worst = 0.0;
+  for (const auto& f : all_kernel_features()) {
+    const auto plan = model.predict_all(f, configs);
+    std::vector<repro::pareto::Point> oracle_points;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const auto x = model.assembler().assemble(f, configs[i]);
+      const double oracle[] = {model.speedup_model().predict_one(x),
+                               model.energy_model().predict_one(x)};
+      const double got[] = {plan[i].speedup, plan[i].energy};
+      for (int o = 0; o < 2; ++o) {
+        const double rel = std::abs(got[o] - oracle[o]) / std::abs(oracle[o]);
+        worst = std::max(worst, rel);
+        EXPECT_LE(rel, 1e-11) << "config " << i << " objective " << o;
+      }
+      if (configs[i].mem_mhz != mem_L) {
+        oracle_points.push_back({oracle[0], oracle[1], static_cast<std::uint32_t>(i)});
+      }
+    }
+    std::vector<repro::gpusim::FrequencyConfig> oracle_front;
+    for (const auto& p : repro::pareto::pareto_set_fast(oracle_points)) {
+      oracle_front.push_back(configs[p.id]);
+    }
+    std::vector<repro::gpusim::FrequencyConfig> front;
+    for (const auto& p : model.predict_pareto(f)) {
+      if (!p.heuristic) front.push_back(p.config);
+    }
+    const auto by_clock = [](const auto& a, const auto& b) {
+      return std::pair(a.mem_mhz, a.core_mhz) < std::pair(b.mem_mhz, b.core_mhz);
+    };
+    std::sort(oracle_front.begin(), oracle_front.end(), by_clock);
+    std::sort(front.begin(), front.end(), by_clock);
+    EXPECT_EQ(front, oracle_front);
+  }
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%.3g", worst);
+  RecordProperty("worst_relative_deviation", worst_text);
+}
+
+TEST(FrequencyModelTest, OtherRegressorFamiliesEvaluateThroughTheirRegressor) {
+  // Only linear- and RBF-kernel SVRs have a closed form; every other family
+  // is evaluated by its regressor, bit for bit as fitted.
+  rco::TrainingOptions options;
+  options.models.speedup_regressor = "ols";
+  options.models.energy_regressor = "lasso";
+  auto linear = rco::FrequencyModel::train(sim(), small_suite(), options);
+  ASSERT_TRUE(linear.ok()) << linear.error().message;
+  const std::string poly_svr = repro::ml::make_synthetic_svr_text("polynomial", 150, 12, 0x9017);
+  auto poly = rco::FrequencyModel::deserialize(
+      "gpufreq_model v2\ndevice Titan X\nbounds 135 1196 405 3505\ntraining_configs 0\n"
+      "training_samples 0\n=== speedup ===\nregressor v1 svr-polynomial\n" +
+      poly_svr + "=== energy ===\nregressor v1 svr-polynomial\n" + poly_svr);
+  ASSERT_TRUE(poly.ok()) << poly.error().message;
+
+  const auto configs = sim().freq().sample_configs(40);
+  for (const rco::FrequencyModel* model : {&linear.value(), &poly.value()}) {
+    for (const auto& mb : small_suite().first(4)) {
+      const auto all = model->predict_all(mb.features, configs);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto x = model->assembler().assemble(mb.features, configs[i]);
+        const double speedup = model->speedup_model().predict_one(x);
+        const double energy = model->energy_model().predict_one(x);
+        EXPECT_TRUE(bits_equal(model->predict_speedup(mb.features, configs[i]), speedup))
+            << model->speedup_regressor();
+        EXPECT_TRUE(bits_equal(model->predict_energy(mb.features, configs[i]), energy))
+            << model->energy_regressor();
+        EXPECT_TRUE(bits_equal(all[i].speedup, speedup)) << model->speedup_regressor();
+        EXPECT_TRUE(bits_equal(all[i].energy, energy)) << model->energy_regressor();
+      }
+    }
   }
 }
 

@@ -1,10 +1,13 @@
 // Determinism guarantees of the parallel prediction stack: every parallel
 // path (thread pool sizes 1, 2 and 8) must produce bit-identical output to
 // the serial path — predictions, cross-validation scores, matrix products
-// and Pareto fronts. Also property-tests the O(n log n) skyline against the
-// paper's O(n^2) Algorithm 1 on random inputs.
+// and Pareto fronts. FrequencyModel's single-point, grid and Pareto entry
+// points must agree bit for bit, on and off its default grid. Also
+// property-tests the O(n log n) skyline against the paper's O(n^2)
+// Algorithm 1 on random inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +21,8 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
+#include "core/model.hpp"
+#include "kernels/kernels.hpp"
 #include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
 #include "ml/model_selection.hpp"
@@ -27,6 +32,8 @@
 
 namespace rc = repro::common;
 namespace rs = repro::common::simd;
+namespace rco = repro::core;
+namespace rg = repro::gpusim;
 namespace rm = repro::ml;
 namespace rp = repro::pareto;
 
@@ -95,6 +102,47 @@ rm::Matrix grid(std::span<const double> base, std::size_t p, std::size_t rows,
     }
   }
   return x;
+}
+
+/// A FrequencyModel of the paper's shape (linear-kernel speedup SVR, RBF
+/// energy SVR) over synthetic support vectors on the Titan X domain — no
+/// training run, so it stays cheap under TSan. `n_configs` sizes the
+/// default grid: two models that differ only there share every prediction
+/// but hold clock-factor tables for different rows.
+rco::FrequencyModel synthetic_model(std::size_t n_configs) {
+  std::string text =
+      "gpufreq_model v2\ndevice Titan X\nbounds 135 1196 405 3505\ntraining_configs " +
+      std::to_string(n_configs) + '\n';
+  for (std::size_t i = 0; i < n_configs; ++i) text += "1001 3505\n";
+  text += "training_samples 0\n=== speedup ===\nregressor v1 svr-linear\n" +
+          rm::make_synthetic_svr_text("linear", 300, rco::kFeatureDim, 0x5D1) +
+          "=== energy ===\nregressor v1 svr-rbf\n" +
+          rm::make_synthetic_svr_text("rbf", 200, rco::kFeatureDim, 0x5D2);
+  auto model = rco::FrequencyModel::deserialize(text);
+  EXPECT_TRUE(model.ok()) << (model.ok() ? "" : model.error().message);
+  return std::move(model).take();
+}
+
+std::vector<repro::clfront::StaticFeatures> test_kernel_features() {
+  std::vector<repro::clfront::StaticFeatures> out;
+  for (const auto& b : repro::kernels::test_suite()) {
+    out.push_back(repro::kernels::benchmark_features(b).value());
+  }
+  return out;
+}
+
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_points(const std::vector<rco::PredictedPoint>& a,
+                 const std::vector<rco::PredictedPoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].config != b[i].config || a[i].heuristic != b[i].heuristic ||
+        !bits_equal(a[i].speedup, b[i].speedup) || !bits_equal(a[i].energy, b[i].energy)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -198,6 +246,104 @@ TEST(DeterminismTest, ConcurrentGridPredictsMatchPredictOne) {
         });
         for (std::size_t g = 0; g < 2; ++g) {
           if (!bitwise_equal(batch[g], refs[t][g])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < kCallers; ++t) EXPECT_EQ(mismatches[t], 0) << "caller " << t;
+}
+
+TEST(DeterminismTest, ModelEntryPointsAgreeBitForBitOnAndOffTheGrid) {
+  // predict_speedup/predict_energy, the matching predict_all row and the
+  // matching predict_pareto entry are one expression: on the default grid
+  // (clock factors from the plan's table) and at every core clock of all
+  // four memory levels (most computed on the fly), at any thread count and
+  // on either SIMD backend. A model with a 20-config default grid holds
+  // table rows for other configurations, so agreeing with it shows that a
+  // table row equals the same row computed on the fly.
+  PoolGuard guard;
+  SimdGuard simd_guard;
+  const rco::FrequencyModel model = synthetic_model(40);
+  const rco::FrequencyModel other_grid = synthetic_model(20);
+  const auto& domain = model.domain();
+  const auto grid = domain.sample_configs(40);
+  std::vector<rg::FrequencyConfig> every_clock;
+  for (auto level : {rg::MemLevel::kL, rg::MemLevel::kLow, rg::MemLevel::kHigh, rg::MemLevel::kH}) {
+    const auto* d = domain.find_domain(level);
+    ASSERT_NE(d, nullptr);
+    for (int core : d->actual_core_mhz) every_clock.push_back({core, d->mem_mhz});
+  }
+  const auto all_features = test_kernel_features();
+  std::vector<repro::clfront::StaticFeatures> features;  // 4 of the 12 keep TSan runs short
+  for (std::size_t k = 0; k < all_features.size(); k += 3) features.push_back(all_features[k]);
+
+  rs::set_enabled(true);
+  rc::ThreadPool::set_global_threads(1);
+  std::vector<std::array<std::vector<rco::PredictedPoint>, 2>> reference;
+  for (const auto& f : features) {
+    reference.push_back({model.predict_all(f, grid), model.predict_all(f, every_clock)});
+  }
+
+  for (std::size_t threads : kThreadCounts) {
+    rc::ThreadPool::set_global_threads(threads);
+    for (bool simd : {true, false}) {
+      rs::set_enabled(simd);
+      for (std::size_t k = 0; k < features.size(); ++k) {
+        const auto& f = features[k];
+        const std::span<const rg::FrequencyConfig> sets[] = {grid, every_clock};
+        for (std::size_t g = 0; g < 2; ++g) {
+          const auto& configs = sets[g];
+          const auto& ref = reference[k][g];
+          const auto where = [&](const std::string& what) {
+            return what + " kernel=" + std::to_string(k) + " set=" + std::to_string(g) +
+                   " threads=" + std::to_string(threads) + " simd=" + std::to_string(simd);
+          };
+          EXPECT_TRUE(same_points(model.predict_all(f, configs), ref)) << where("predict_all");
+          EXPECT_TRUE(same_points(other_grid.predict_all(f, configs), ref))
+              << where("other grid");
+          for (std::size_t i = 0; i < configs.size(); ++i) {
+            EXPECT_TRUE(bits_equal(model.predict_speedup(f, configs[i]), ref[i].speedup))
+                << where("predict_speedup") << " row=" << i;
+            EXPECT_TRUE(bits_equal(model.predict_energy(f, configs[i]), ref[i].energy))
+                << where("predict_energy") << " row=" << i;
+          }
+          auto pareto = model.predict_pareto(f, configs);
+          if (g == 0) {
+            EXPECT_TRUE(same_points(model.predict_pareto(f), pareto)) << where("default");
+          }
+          for (auto p : pareto) {
+            const auto it = std::find_if(ref.begin(), ref.end(),
+                                         [&](const auto& r) { return r.config == p.config; });
+            ASSERT_NE(it, ref.end()) << where("pareto config");
+            p.heuristic = false;
+            EXPECT_TRUE(same_points({p}, {*it})) << where("predict_pareto");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, ConcurrentModelParetoMatchesSerial) {
+  // Four threads share one model and its evaluation plan, as a server's
+  // shards do; each must reproduce the serial replies bit for bit.
+  PoolGuard guard;
+  rc::ThreadPool::set_global_threads(4);
+  const rco::FrequencyModel model = synthetic_model(40);
+  const auto features = test_kernel_features();
+  std::vector<std::vector<rco::PredictedPoint>> serial;
+  for (const auto& f : features) serial.push_back(model.predict_pareto(f));
+
+  constexpr std::size_t kCallers = 4;
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int iter = 0; iter < 8; ++iter) {
+        for (std::size_t k = 0; k < features.size(); ++k) {
+          const std::size_t i = (k + t) % features.size();
+          if (!same_points(model.predict_pareto(features[i]), serial[i])) ++mismatches[t];
         }
       }
     });

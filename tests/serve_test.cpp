@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "clfront/stream.hpp"
 #include "common/fault.hpp"
 #include "common/queue.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/measurement.hpp"
 #include "core/model.hpp"
@@ -642,6 +644,57 @@ TEST(ModelRobustnessTest, AbsurdCountsAreParseErrorsNotBadAlloc) {
   const auto svr = repro::ml::Svr::deserialize(svr_text);
   ASSERT_FALSE(svr.ok());
   EXPECT_EQ(svr.error().code, rc::ErrorCode::kParseError);
+}
+
+TEST(ModelRobustnessTest, WrongFeatureWidthIsAParseError) {
+  // A well-formed v2 model whose SVRs take 5 columns, not kFeatureDim:
+  // loading it must fail cleanly rather than let prediction read past each
+  // support-vector row.
+  const auto narrow_svr = [](const std::string& kernel) {
+    return "regressor v1 svr-" + kernel + "\nsvr " + kernel +
+           " 0.1 0 3 1000 0.1 0.5 2 5\n1 0.1 0.2 0.3 0.4 0.5\n-1 0.5 0.4 0.3 0.2 0.1\n";
+  };
+  const std::string full = trained_model()->serialize();
+  const std::string header = full.substr(0, full.find("=== speedup ===\n"));
+  const std::string speedup = full.substr(header.size(), full.find("=== energy ===\n") -
+                                                             header.size());
+  const std::string narrow = header + "=== speedup ===\n" + narrow_svr("linear") +
+                             "=== energy ===\n" + narrow_svr("rbf");
+  for (const std::string& text :
+       {narrow, header + speedup + "=== energy ===\n" + narrow_svr("rbf")}) {
+    const auto model = rco::FrequencyModel::deserialize(text);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.error().code, rc::ErrorCode::kParseError) << model.error().message;
+  }
+
+  // The regressor itself refuses a sample of the wrong width.
+  const auto svr = repro::ml::Svr::deserialize(narrow_svr("rbf").substr(
+      narrow_svr("rbf").find('\n') + 1));
+  ASSERT_TRUE(svr.ok()) << svr.error().message;
+  const std::vector<double> wide(rco::kFeatureDim, 0.5);
+  EXPECT_THROW((void)svr.value().predict_one(wide), std::invalid_argument);
+  EXPECT_THROW((void)svr.value().predict(repro::ml::Matrix(3, rco::kFeatureDim)),
+               std::invalid_argument);
+
+  // A cache file holding that model (valid checksum) is retrained, not served.
+  TempDir dir("repro-model-width");
+  const rs::ModelKey key =
+      rs::ModelKey::from_options(trained_model()->domain().device_name(), small_options());
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(rc::fnv1a(narrow)));
+  std::ofstream(dir.path / (key.file_stem() + ".model"))
+      << "gpufreq_checksum " << hash << '\n' << narrow;
+  std::atomic<int> trainings{0};
+  rs::ModelCache cache(2, dir.path.string());
+  const auto model = cache.get_or_train(key, [&]() {
+    ++trainings;
+    return rco::FrequencyModel::deserialize(full);
+  });
+  ASSERT_TRUE(model.ok()) << model.error().message;
+  EXPECT_EQ(trainings.load(), 1);
+  EXPECT_EQ(cache.stats().disk_errors, 1u);
+  EXPECT_EQ(model.value()->speedup_model().num_features(), rco::kFeatureDim);
 }
 
 // --- Predictor::Builder validation --------------------------------------------

@@ -6,13 +6,11 @@
 // SVR training run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -110,48 +108,6 @@ TEST(SimdTest, RuntimeToggleNeverChangesDispatchedResults) {
     rs::set_enabled(false);
     EXPECT_TRUE(bits_equal(dot_on, rs::dot(a, b))) << "n=" << n;
     EXPECT_TRUE(bits_equal(sqd_on, rs::squared_distance(a, b))) << "n=" << n;
-  }
-}
-
-TEST(SimdTest, SplitReductionMatchesUnsplitAtEverySplitPoint) {
-  // The prefix stage sees x, the finish a different vector y that shares
-  // only x's first p values — the grid shape. Every split point of every
-  // length 1..13, both backends, and operands one double off alignment; 7
-  // rows so the vector finish also runs its scalar row tail.
-  SimdGuard guard;
-  constexpr std::size_t kRows = 7;
-  constexpr double kScale = -0.37;
-  for (std::size_t n = 1; n <= 13; ++n) {
-    const auto x = random_vector(n + 1, 0x5A + n);
-    const auto rows = random_vector(kRows * n + 1, 0x5B + n);
-    const std::span<const double> xs(x.data() + 1, n);
-    const double* r = rows.data() + 1;
-    for (std::size_t p = 0; p <= n; ++p) {
-      auto y = random_vector(n + 1, 0x5C + n * 16 + p);
-      std::copy(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(p), y.begin() + 1);
-      const std::span<const double> ys(y.data() + 1, n);
-      std::vector<double> dot_part(rs::split_part_size(n, p, kRows) + 1);
-      std::vector<double> sqd_part(rs::split_part_size(n, p, kRows) + 1);
-      const std::span<double> dp(dot_part.data() + 1, dot_part.size() - 1);
-      const std::span<double> sp(sqd_part.data() + 1, sqd_part.size() - 1);
-      rs::dot_split_prefix(dp, xs, p, r, n, kRows);
-      rs::squared_distance_split_prefix(sp, xs, p, r, n, kRows);
-      for (bool on : {true, false}) {
-        rs::set_enabled(on);
-        std::vector<double> dots(kRows + 1);
-        std::vector<double> sqds(kRows + 1);
-        rs::dot_split_finish({dots.data() + 1, kRows}, dp, ys, p);
-        rs::squared_distance_split_finish({sqds.data() + 1, kRows}, sp, ys, p, kScale);
-        for (std::size_t j = 0; j < kRows; ++j) {
-          const double* row = r + j * n;
-          EXPECT_TRUE(bits_equal(dots[j + 1], rs::detail::dot_unrolled(ys.data(), row, n)))
-              << "n=" << n << " p=" << p << " j=" << j << " simd=" << on;
-          EXPECT_TRUE(bits_equal(
-              sqds[j + 1], kScale * rs::detail::squared_distance_unrolled(ys.data(), row, n)))
-              << "n=" << n << " p=" << p << " j=" << j << " simd=" << on;
-        }
-      }
-    }
   }
 }
 
