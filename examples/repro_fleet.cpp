@@ -1,6 +1,6 @@
-// repro_fleet — the multi-process serving fleet: a model-cache broker, N
-// repro_serve worker processes under a supervisor, and a front balancer
-// speaking the unchanged line-JSON protocol to clients.
+// repro_fleet — the multi-process serving fleet: N repro_serve worker
+// processes under a supervisor, and a front balancer speaking the
+// unchanged line-JSON protocol to clients.
 //
 //   repro_fleet --unix /tmp/fleet.sock --workers 3 [options]
 //   repro_fleet --tcp 7070            --workers 3 [options]   (0 = ephemeral)
@@ -9,21 +9,22 @@
 //   --workers N         worker processes                        (default 2)
 //   --dir DIR           runtime dir for sockets/logs (default: mkdtemp under /tmp)
 //   --serve-binary PATH the repro_serve executable (default: next to argv[0])
-//   --cache-dir DIR     shared on-disk model cache (default: DIR/model-cache)
+//   --cache-dir DIR     shared on-disk model cache (default: DIR/model-cache);
+//                       the workers train its model once between them
 //   --shards N          worker shards per process               (default 2)
 //   --num-configs N     training configuration budget           (default 40)
 //   --suite-stride N    train on every Nth micro-benchmark      (default 1)
 //   --max-queue-delay-us N  per-worker overload shedding bound  (default 0 = off)
 //   --chaos-kill-ms N   SIGKILL a random worker every N ms      (default 0 = off)
 //   --worker-faults S   REPRO_FAULTS spec ("seed:key=v,...") exported to the
-//                       worker processes ONLY — the broker, balancer, and
-//                       supervisor in this process stay fault-free so the
-//                       soak measures worker-side fault recovery, not a
+//                       worker processes ONLY — the balancer and supervisor
+//                       in this process stay fault-free so the soak
+//                       measures worker-side fault recovery, not a
 //                       corrupted control plane
 //
-// Startup order: broker first (so the fleet's model is trained exactly once
-// — workers block on it instead of fitting N copies), then all workers
-// spawned concurrently, then the balancer connects to each worker socket
+// Startup order: all workers spawned concurrently (the first to take the
+// model's lock file in the shared cache trains, the others wait on it and
+// load the saved copy), then the balancer connects to each worker socket
 // and opens the client endpoint. Prints one "WORKER <i> pid <pid> sock
 // <path>" line per worker and "READY <endpoint>" once clients can connect,
 // then serves until SIGINT/SIGTERM. Shutdown reverses the order.
@@ -38,10 +39,8 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "benchgen/benchgen.hpp"
 #include "common/fault.hpp"
 #include "fleet/balancer.hpp"
-#include "fleet/broker.hpp"
 #include "fleet/supervisor.hpp"
 
 using namespace repro;
@@ -63,9 +62,8 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   fleet::BalancerOptions balancer_options;
-  serve::ServiceConfig config;
-  config.options.shards = 2;
   std::size_t workers = 2;
+  std::size_t shards = 2;
   std::string run_dir;
   std::string serve_binary;
   std::string cache_dir;
@@ -91,8 +89,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir" && has_value) {
       cache_dir = argv[++i];
     } else if (arg == "--shards" && has_value) {
-      config.options.shards =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--num-configs" && has_value) {
       num_configs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--suite-stride" && has_value) {
@@ -114,8 +111,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "repro_fleet: --workers must be >= 1\n");
     return 2;
   }
-  config.training.num_configs = num_configs;
-
   if (run_dir.empty()) {
     char tmpl[] = "/tmp/repro_fleet.XXXXXX";
     const char* made = ::mkdtemp(tmpl);
@@ -139,24 +134,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (suite_stride > 1) {
-    auto full = benchgen::generate_training_suite();
-    if (!full.ok()) {
-      std::fprintf(stderr, "suite generation: %s\n", full.error().to_string().c_str());
-      return 1;
-    }
-    std::vector<benchgen::MicroBenchmark> subset;
-    for (std::size_t i = 0; i < full.value().size(); i += suite_stride) {
-      subset.push_back(full.value()[i]);
-    }
-    config.suite = std::move(subset);
-  }
-
   // Worker-only fault injection: REPRO_FAULTS must be in the environment
   // when the supervisor fork/execs workers (including every chaos respawn),
   // so it stays exported for the whole run. This process pins its OWN
-  // injector to an empty spec first — the balancer, broker, and supervisor
-  // here must stay fault-free or the soak would measure a corrupted control
+  // injector to an empty spec first — the balancer and supervisor here
+  // must stay fault-free or the soak would measure a corrupted control
   // plane instead of worker-side recovery.
   common::FaultInjector::Scope parent_faults_off(0, common::FaultSpec{});
   if (!worker_faults.empty()) {
@@ -179,22 +161,10 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
-  fleet::BrokerOptions broker_options;
-  broker_options.unix_path = run_dir + "/broker.sock";
-  broker_options.cache_dir = cache_dir;
-  std::printf("repro_fleet: starting model broker (trains on first request)\n");
-  std::fflush(stdout);
-  auto broker = fleet::Broker::start(config, broker_options);
-  if (!broker.ok()) {
-    std::fprintf(stderr, "broker: %s\n", broker.error().to_string().c_str());
-    return 1;
-  }
-
   fleet::WorkerSpec spec;
   spec.binary = serve_binary;
-  spec.common_args = {"--broker",       broker.value()->unix_path(),
-                      "--cache-dir",    cache_dir,
-                      "--shards",       std::to_string(config.options.shards),
+  spec.common_args = {"--cache-dir",    cache_dir,
+                      "--shards",       std::to_string(shards),
                       "--num-configs",  std::to_string(num_configs),
                       "--suite-stride", std::to_string(suite_stride)};
   if (max_queue_delay_us > 0) {
@@ -252,7 +222,6 @@ int main(int argc, char** argv) {
   const auto routed = balancer.value()->stats();
   supervisor.value()->stop();
   const auto lifecycle = supervisor.value()->stats();
-  broker.value()->stop();
 
   std::printf("repro_fleet: %llu connections, %llu requests, "
               "%llu redispatches, %llu backend failures, %llu reconnects; "

@@ -12,13 +12,12 @@
 //   --max-queue-delay-us N  shed (retryable "overloaded") when the estimated
 //                       admission-queue delay exceeds N           (default 0 = off)
 //   --cache-dir DIR     on-disk model cache directory  (default .repro_serve_cache)
+//                       Servers sharing one directory train each model once:
+//                       the first takes the model's lock file and trains,
+//                       the others wait on the lock and load its copy.
 //   --num-configs N     training configuration budget            (default 40)
 //   --suite-stride N    train on every Nth micro-benchmark       (default 1)
 //                       (N > 1 trades accuracy for startup time — demos/CI)
-//   --broker PATH       ask the fleet's model-cache broker at this unix
-//                       socket to train the model first; this worker then
-//                       disk-loads it from the shared --cache-dir. Falls
-//                       back to training locally if the broker is gone.
 //
 // Prints "READY <endpoint>" on stdout once the socket is accepting, then
 // serves until SIGINT/SIGTERM.
@@ -32,7 +31,6 @@
 #include <unistd.h>
 
 #include "benchgen/benchgen.hpp"
-#include "fleet/broker.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -45,8 +43,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--unix PATH | --tcp PORT) [--shards N] [--max-batch N]\n"
                "          [--batch-window-us N] [--max-queue-delay-us N]\n"
-               "          [--cache-dir DIR] [--num-configs N]\n"
-               "          [--suite-stride N] [--broker PATH]\n",
+               "          [--cache-dir DIR] [--num-configs N] [--suite-stride N]\n",
                argv0);
   return 2;
 }
@@ -58,7 +55,6 @@ int main(int argc, char** argv) {
   serve::ServiceConfig config;
   config.options.shards = 2;
   std::string cache_dir = ".repro_serve_cache";
-  std::string broker_path;
   std::size_t suite_stride = 1;
 
   for (int i = 1; i < argc; ++i) {
@@ -84,8 +80,6 @@ int main(int argc, char** argv) {
       config.training.num_configs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--suite-stride" && has_value) {
       suite_stride = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--broker" && has_value) {
-      broker_path = argv[++i];
     } else {
       return usage(argv[0]);
     }
@@ -117,23 +111,9 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   std::signal(SIGPIPE, SIG_IGN);  // broken client connections are not fatal
 
-  if (!broker_path.empty()) {
-    // Ask the fleet broker to train (or disk-load) the shared model first;
-    // our own cache below then disk-hits the same directory instead of
-    // repeating the fit. A dead broker only costs a local training run.
-    std::printf("repro_serve: requesting model from broker %s\n", broker_path.c_str());
-    std::fflush(stdout);
-    serve::ConnectOptions retry;
-    retry.attempts = 10;
-    if (auto reply = fleet::fetch_model(broker_path, retry); !reply.ok()) {
-      std::fprintf(stderr, "broker: %s; training locally\n",
-                   reply.error().to_string().c_str());
-    }
-  }
-
   std::printf("repro_serve: training (or loading) the model...\n");
   std::fflush(stdout);
-  serve::ModelCache cache(4, cache_dir);
+  serve::ModelCache cache(cache_dir);
   server_options.model_cache = &cache;
   auto service = serve::Service::create(config, cache);
   if (!service.ok()) {

@@ -18,7 +18,7 @@ int main() {
   config.options.shards = 2;
   config.options.max_batch = 8;
   config.options.batch_window = std::chrono::microseconds(500);
-  serve::ModelCache cache(2, ".repro_serve_cache");
+  serve::ModelCache cache(".repro_serve_cache");
   auto service = serve::Service::create(config, cache);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n", service.error().to_string().c_str());

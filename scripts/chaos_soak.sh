@@ -21,6 +21,11 @@
 #   2. The burst terminates inside a wall-clock bound (no wedged sockets).
 #   3. The model cache survives the kills: zero torn/unparseable model
 #      files and zero leftover *.tmp.* files (repro_cache_check).
+#   4. Running out of threads is not fatal: under a 1.5 GB address-space
+#      limit, 64 idle connections to repro_serve and to a 1-worker
+#      repro_fleet exhaust thread creation; both must close the
+#      connections they cannot serve, stay up, and answer bit-identically
+#      once the flood is gone.
 #
 # Usage:
 #
@@ -229,5 +234,74 @@ if grep -q '^tmp ' "$work_dir/cache.out"; then
   echo "chaos_soak: leftover tmp files after the soak" >&2
   exit 1
 fi
+
+# --- idle-connection flood under an address-space limit ----------------------
+# Every connection costs a reader and a writer thread, each reserving stack
+# and malloc-arena address space; under `ulimit -v 1500000` thread creation
+# starts failing after a few dozen connections. Both binaries must refuse
+# what they cannot serve (close + log) instead of aborting.
+hold_idle() { # unix_sock count seconds
+  python3 - "$@" <<'PY'
+import socket, sys, time
+path, count, hold = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+conns = []
+for _ in range(count):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(path)
+    conns.append(s)
+time.sleep(hold)
+PY
+}
+
+alive() { # pid
+  [ -r "/proc/$1/status" ] && ! grep -q '^State:[[:space:]]*Z' "/proc/$1/status"
+}
+
+for target in serve fleet; do
+  sock="$work_dir/idle-$target.sock"
+  log="$work_dir/idle-$target.log"
+  if [ "$target" = serve ]; then
+    # shellcheck disable=SC2086
+    (ulimit -v 1500000 && exec "$build_dir/repro_serve" --unix "$sock" \
+      $train_flags --cache-dir "$cache_dir") >"$log" 2>&1 &
+  else
+    mkdir -p "$work_dir/idle-fleet"
+    # shellcheck disable=SC2086
+    (ulimit -v 1500000 && exec "$build_dir/repro_fleet" --unix "$sock" \
+      --workers 1 --dir "$work_dir/idle-fleet" --cache-dir "$cache_dir" \
+      $train_flags --serve-binary "$build_dir/repro_serve") >"$log" 2>&1 &
+  fi
+  idle_pid=$!
+  pids="$pids $idle_pid"
+  wait_ready "$log"
+  hold_idle "$sock" 64 2 || {
+    echo "chaos_soak: could not open 64 idle connections to repro_$target" >&2
+    cat "$log" >&2
+    exit 1
+  }
+  if ! alive "$idle_pid"; then
+    echo "chaos_soak: repro_$target died under 64 idle connections" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  timeout 30 "$build_dir/repro_serve_client" --unix "$sock" --pipeline 1 --dump \
+    >"$work_dir/idle-$target.out" 2>&1 || true
+  if ! cmp -s "$work_dir/reference.out" "$work_dir/idle-$target.out"; then
+    echo "chaos_soak: repro_$target answered differently after the idle flood" >&2
+    cat "$work_dir/idle-$target.out" "$log" >&2
+    exit 1
+  fi
+  kill -TERM "$idle_pid"
+  idle_status=0
+  wait "$idle_pid" || idle_status=$?
+  if [ "$idle_status" -ne 0 ]; then
+    echo "chaos_soak: repro_$target exited with $idle_status after the idle flood" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  pids=$(echo "$pids" | sed "s/ $idle_pid//")
+  echo "chaos_soak: repro_$target survived 64 idle connections under ulimit -v 1500000" \
+    "($(grep -c 'cannot start' "$log" || true) refused)"
+done
 
 echo "chaos_soak: OK"

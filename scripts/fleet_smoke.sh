@@ -1,14 +1,17 @@
 #!/usr/bin/env sh
 # Multi-process integration smoke of the serving fleet: real repro_serve
-# worker processes under repro_fleet (broker + supervisor + balancer),
-# checked for the two fleet contracts the in-process tests cannot prove:
+# worker processes under repro_fleet (supervisor + balancer), checked for
+# the three fleet contracts the in-process tests cannot prove:
 #
-#   1. Bit-identity across worker counts: the balancer endpoint answers a
+#   1. A cold fleet trains once: 4 workers started together on an empty
+#      cache directory queue on the model's lock file, so one trains and
+#      the others load its copy — the fleet-merged repro_cache_misses
+#      reads 1.
+#   2. Bit-identity across worker counts: the balancer endpoint answers a
 #      predict_source request with byte-identical --dump output at 1, 2,
-#      and 4 workers, and identical to a direct repro_serve with no fleet
-#      in between. (The shared model cache means training happens once, in
-#      the broker, on the first run.)
-#   2. Worker loss is invisible: kill -9 one worker in the middle of a
+#      and 4 workers (cold and warm), and identical to a direct repro_serve
+#      with no fleet in between.
+#   3. Worker loss is invisible: kill -9 one worker in the middle of a
 #      pipelined 128-request burst; every request must still be answered
 #      (the balancer re-dispatches, the supervisor respawns).
 #
@@ -77,6 +80,53 @@ wait "$direct_pid" || {
 }
 pids=$(echo "$pids" | sed "s/ $direct_pid//")
 
+stop_fleet() { # pid log_file label
+  kill -TERM "$1"
+  fleet_status=0
+  wait "$1" || fleet_status=$?
+  if [ "$fleet_status" -ne 0 ]; then
+    echo "fleet_smoke: repro_fleet ($3) exited with $fleet_status" >&2
+    cat "$2" >&2
+    exit 1
+  fi
+  grep -q 'shutting down' "$2" || {
+    echo "fleet_smoke: no graceful shutdown message" >&2
+    cat "$2" >&2
+    exit 1
+  }
+  pids=$(echo "$pids" | sed "s/ $1//")
+}
+
+# --- cold start: 4 workers on an empty cache train once ----------------------
+cold_dir="$work_dir/fleet-cold"
+mkdir -p "$cold_dir"
+cold_sock="$work_dir/fleet-cold.sock"
+cold_log="$work_dir/fleet-cold.log"
+# shellcheck disable=SC2086
+"$build_dir/repro_fleet" --unix "$cold_sock" --workers 4 \
+  --dir "$cold_dir" --cache-dir "$work_dir/cold-cache" $train_flags \
+  --serve-binary "$build_dir/repro_serve" >"$cold_log" 2>&1 &
+cold_pid=$!
+pids="$pids $cold_pid"
+wait_ready "$cold_log"
+"$build_dir/repro_serve_client" --unix "$cold_sock" --metrics >"$work_dir/cold-metrics.txt"
+if ! grep -qx '# merged across 4 worker(s)' "$work_dir/cold-metrics.txt" ||
+   ! grep -qx 'repro_cache_misses 1' "$work_dir/cold-metrics.txt"; then
+  echo "fleet_smoke: a cold 4-worker fleet did not train exactly once:" >&2
+  grep -e '^# merged' -e '^repro_cache_' "$work_dir/cold-metrics.txt" >&2 || true
+  cat "$cold_log" >&2
+  exit 1
+fi
+"$build_dir/repro_serve_client" --unix "$cold_sock" --dump >"$work_dir/fleet-cold.txt"
+if ! cmp -s "$work_dir/direct.txt" "$work_dir/fleet-cold.txt"; then
+  echo "fleet_smoke: cold 4-worker fleet is NOT bit-identical to direct serving" >&2
+  diff "$work_dir/direct.txt" "$work_dir/fleet-cold.txt" >&2 || true
+  trace_probe "$cold_sock"
+  exit 1
+fi
+echo "fleet_smoke: cold 4-worker fleet trained once, bit-identical to direct serving"
+stop_fleet "$cold_pid" "$cold_log" "cold, 4 workers"
+
 # --- bit-identity at 1, 2, and 4 workers -------------------------------------
 for workers in 1 2 4; do
   fleet_dir="$work_dir/fleet-$workers"
@@ -134,20 +184,7 @@ for workers in 1 2 4; do
     }
   fi
 
-  kill -TERM "$fleet_pid"
-  fleet_status=0
-  wait "$fleet_pid" || fleet_status=$?
-  if [ "$fleet_status" -ne 0 ]; then
-    echo "fleet_smoke: repro_fleet ($workers workers) exited with $fleet_status" >&2
-    cat "$fleet_log" >&2
-    exit 1
-  fi
-  grep -q 'shutting down' "$fleet_log" || {
-    echo "fleet_smoke: no graceful shutdown message" >&2
-    cat "$fleet_log" >&2
-    exit 1
-  }
-  pids=$(echo "$pids" | sed "s/ $fleet_pid//")
+  stop_fleet "$fleet_pid" "$fleet_log" "$workers workers"
 done
 
 echo "fleet_smoke: OK"

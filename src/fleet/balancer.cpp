@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -799,15 +800,24 @@ void Balancer::Impl::accept_loop() {
     conn->fd = fd;
     Conn* raw = conn.get();
     conns.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] {
-      serve_connection(raw->fd);
-      ::shutdown(raw->fd, SHUT_RDWR);
-      {
-        std::lock_guard lock(conn_mutex);
-        reap_finished_locked();
-      }
-      raw->done.store(true, std::memory_order_release);
-    });
+    try {
+      raw->thread = std::thread([this, raw] {
+        serve_connection(raw->fd);
+        ::shutdown(raw->fd, SHUT_RDWR);
+        {
+          std::lock_guard lock(conn_mutex);
+          reap_finished_locked();
+        }
+        raw->done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& e) {
+      // Same refusal as SocketServer::accept_loop.
+      conns.pop_back();
+      ::close(fd);
+      common::log_warn() << "Balancer: cannot start a connection thread ("
+                         << e.what() << "); connection closed";
+      continue;
+    }
     std::lock_guard slock(stats_mutex);
     ++connections;
   }
@@ -860,7 +870,7 @@ void Balancer::Impl::serve_connection(int fd) {
   common::BoundedQueue<PendingReply> replies(
       std::max<std::size_t>(1, options.max_inflight));
   std::atomic<bool> write_failed{false};
-  std::thread writer([&] {
+  const auto write_replies = [&] {
     while (auto pending = replies.pop()) {
       if (write_failed.load(std::memory_order_relaxed)) continue;  // drain only
       std::string reply;
@@ -909,7 +919,15 @@ void Balancer::Impl::serve_connection(int fd) {
         ::shutdown(fd, SHUT_RD);
       }
     }
-  });
+  };
+  std::thread writer;
+  try {
+    writer = std::thread(write_replies);
+  } catch (const std::system_error& e) {
+    common::log_warn() << "Balancer: cannot start a reply writer (" << e.what()
+                       << "); connection closed";
+    return;
+  }
 
   auto count_protocol_error = [&] {
     std::lock_guard slock(stats_mutex);

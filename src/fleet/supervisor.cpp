@@ -250,8 +250,9 @@ common::Result<std::unique_ptr<Supervisor>> Supervisor::start(
     worker->log_path = options.socket_dir + "/worker-" + std::to_string(i) + ".log";
     supervisor->impl_->workers.push_back(std::move(worker));
   }
-  // Spawn everything first (the broker serializes their training), then
-  // wait: a cold fleet starts in max(train, load...) rather than the sum.
+  // Spawn everything first (the shared cache's per-model lock file lets
+  // one of them train while the rest wait to load its copy), then wait: a
+  // cold fleet starts in one training plus a load, not N trainings.
   for (auto& worker : supervisor->impl_->workers) {
     auto pid = spawn_process(supervisor->impl_->worker_args(*worker),
                              worker->log_path);

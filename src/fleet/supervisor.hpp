@@ -29,7 +29,7 @@ namespace repro::fleet {
 
 /// How to launch one worker process. `binary` is argv[0] (the repro_serve
 /// executable); `common_args` is appended after the per-worker
-/// "--unix <socket_dir>/worker-<i>.sock" pair (cache dir, broker, suite
+/// "--unix <socket_dir>/worker-<i>.sock" pair (cache dir, shard and suite
 /// flags — everything that must be identical across the fleet).
 struct WorkerSpec {
   std::string binary;

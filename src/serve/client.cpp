@@ -394,35 +394,6 @@ common::Result<WireStats> SocketClient::introspect(RequestKind kind) {
   return *response.value().stats;
 }
 
-common::Result<std::string> SocketClient::raw_round_trip(const std::string& line) {
-  if (auto st = send_line(line); !st.ok()) return st.error();
-  for (;;) {
-    auto next = splitter_.next();
-    if (!next.ok()) return next.error();
-    if (next.value().has_value()) {
-      if (next.value()->binary) {
-        return common::parse_error("SocketClient: unexpected binary frame");
-      }
-      // Copy out: the payload views the splitter's buffer and would dangle
-      // past the next feed().
-      return std::string(next.value()->payload);
-    }
-    char chunk[4096];
-    const auto r = common::net::read_some(fd_, chunk, sizeof chunk, io_timeout_);
-    if (r.status == common::net::IoStatus::kTimeout) {
-      return common::unavailable("SocketClient: read timed out");
-    }
-    if (r.status == common::net::IoStatus::kError) {
-      errno = r.err;
-      return errno_error("SocketClient: read");
-    }
-    if (r.status == common::net::IoStatus::kEof) {
-      return common::io_error("SocketClient: server closed the connection");
-    }
-    splitter_.feed(std::string_view(chunk, r.bytes));
-  }
-}
-
 common::Result<WireStats> SocketClient::health() {
   return introspect(RequestKind::kHealth);
 }

@@ -43,9 +43,7 @@ struct ConnectOptions {
   /// Per-operation socket timeout for every read and write on the connected
   /// client (progress-based, enforced with poll). A stalled or wedged server
   /// yields a retryable kUnavailable instead of hanging the caller forever.
-  /// Zero or negative = block indefinitely (opt-in only; the broker fetch
-  /// path raises it instead, because "the model is still training" can
-  /// legitimately take minutes).
+  /// Zero or negative = block indefinitely (opt-in only).
   std::chrono::milliseconds io_timeout{30000};
 };
 
@@ -140,11 +138,6 @@ class SocketClient {
   /// the flat name→value map (a balancer answers with its own counters
   /// merged with every backend's).
   [[nodiscard]] common::Result<WireMetrics> metrics();
-
-  /// Send one raw line (no trailing newline) and read one raw reply line —
-  /// for side protocols that share the line framing but not the message
-  /// schema (the fleet's model-cache broker).
-  [[nodiscard]] common::Result<std::string> raw_round_trip(const std::string& line);
 
   /// Relinquish ownership of the connected descriptor and disconnect this
   /// client. The fleet balancer pools backend connections this way: connect

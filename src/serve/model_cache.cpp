@@ -1,6 +1,7 @@
 #include "serve/model_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <charconv>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -30,6 +32,36 @@ std::string hash_token(const std::string& s) {
 
 constexpr std::string_view kChecksumTag = "gpufreq_checksum ";
 
+/// An exclusive flock(2) on a lock file, held until destruction. The lock
+/// belongs to the open file description, so the kernel drops it when its
+/// holder closes the descriptor or dies; O_CLOEXEC keeps an exec'd child
+/// from inheriting it. A file that cannot be opened or locked leaves the
+/// caller unlocked, with a warning: it can still load and train, only the
+/// train-once guarantee is lost.
+class FileLock {
+ public:
+  explicit FileLock(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CREAT | O_CLOEXEC, 0644)) {
+    bool locked = fd_ >= 0;
+    while (locked && ::flock(fd_, LOCK_EX) != 0) {
+      locked = errno == EINTR;
+    }
+    if (!locked) {
+      const int err = errno;  // logging below must not clobber it
+      common::log_warn() << "ModelCache: cannot lock " << path << ": "
+                         << std::strerror(err) << "; continuing unlocked";
+    }
+  }
+  ~FileLock() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  int fd_;
+};
+
 }  // namespace
 
 common::Status save_model_atomic(const core::FrequencyModel& model,
@@ -42,10 +74,11 @@ common::Status save_model_atomic(const core::FrequencyModel& model,
   content.push_back('\n');
   content += payload;
 
-  // The temp name is unique per process: the broker and cold workers can
-  // race on the same key, and each must scribble in its own file. The
-  // content is deterministic for a given key, so whichever rename lands
-  // last is byte-identical anyway.
+  // The temp name is unique per process: a save is normally made under the
+  // cache's per-key lock, but a caller without it (an unlockable directory,
+  // a direct call) must still scribble in its own file. The content is
+  // deterministic for a given key, so whichever rename lands last is
+  // byte-identical anyway.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -166,44 +199,28 @@ ModelKey ModelKey::from_options(const std::string& device_name,
                   std::move(suite_fingerprint)};
 }
 
-ModelCache::ModelCache(std::size_t capacity, std::string disk_dir)
-    : capacity_(capacity == 0 ? 1 : capacity), disk_dir_(std::move(disk_dir)) {}
+ModelCache::ModelCache(std::string disk_dir) : disk_dir_(std::move(disk_dir)) {}
 
-std::string ModelCache::path_for(const ModelKey& key) const {
-  return disk_dir_ + "/" + key.file_stem() + ".model";
-}
-
-void ModelCache::insert_locked(const std::string& canonical,
-                               std::shared_ptr<const core::FrequencyModel> model) {
-  lru_.push_front(canonical);
-  entries_[canonical] = Entry{std::move(model), lru_.begin()};
-  while (entries_.size() > capacity_) {
-    const std::string& victim = lru_.back();
-    entries_.erase(victim);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+void ModelCache::count(std::uint64_t Stats::*counter) {
+  std::lock_guard lock(mutex_);
+  ++(stats_.*counter);
 }
 
 common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_train(
     const ModelKey& key, const Trainer& trainer) {
-  const std::string canonical = key.to_string();
-  // One mutex over probe + load + train: concurrent requests for the same
-  // key train exactly once (the second caller finds the entry). Shard
-  // startup is the only caller on this path, so the serialization is not a
-  // serving bottleneck.
-  std::lock_guard lock(mutex_);
-  if (const auto it = entries_.find(canonical); it != entries_.end()) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.model;
-  }
-
-  // Disk probe. Any failure — unreadable, corrupt, version-mismatched, or
-  // trained for a different key — degrades to retraining, never propagates.
+  std::string path;
+  std::optional<FileLock> lock;
   if (!disk_dir_.empty()) {
-    const std::string path = path_for(key);
     std::error_code ec;
+    std::filesystem::create_directories(disk_dir_, ec);
+    const std::string stem = disk_dir_ + "/" + key.file_stem();
+    path = stem + ".model";
+    // Held until return: a concurrent caller of this key blocks here and
+    // then finds the copy this one saves.
+    lock.emplace(stem + ".lock");
+
+    // Disk probe. Any failure — unreadable, corrupt, version-mismatched, or
+    // trained for a different key — degrades to retraining, never propagates.
     if (std::filesystem::exists(path, ec)) {
       auto loaded = load_cached_model(path);
       const bool matches = loaded.ok() &&
@@ -211,13 +228,10 @@ common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_t
                            loaded.value().speedup_regressor() == key.speedup_regressor &&
                            loaded.value().energy_regressor() == key.energy_regressor;
       if (matches) {
-        ++stats_.disk_hits;
-        auto model =
-            std::make_shared<const core::FrequencyModel>(std::move(loaded).take());
-        insert_locked(canonical, model);
-        return model;
+        count(&Stats::disk_hits);
+        return std::make_shared<const core::FrequencyModel>(std::move(loaded).take());
       }
-      ++stats_.disk_errors;
+      count(&Stats::disk_errors);
       common::log_warn() << "ModelCache: unusable cache file " << path << " ("
                          << (loaded.ok() ? std::string("trained for a different setup")
                                          : loaded.error().message)
@@ -225,41 +239,22 @@ common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_t
     }
   }
 
-  ++stats_.misses;
+  count(&Stats::misses);
   auto trained = trainer();
   if (!trained.ok()) return trained.error();
   auto model = std::make_shared<const core::FrequencyModel>(std::move(trained).take());
-  if (!disk_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(disk_dir_, ec);
-    if (auto st = save_model_atomic(*model, path_for(key)); !st.ok()) {
+  if (!path.empty()) {
+    if (auto st = save_model_atomic(*model, path); !st.ok()) {
       common::log_warn() << "ModelCache: could not persist model: "
                          << st.error().message;
     }
   }
-  insert_locked(canonical, model);
   return model;
-}
-
-std::shared_ptr<const core::FrequencyModel> ModelCache::peek(const ModelKey& key) {
-  std::lock_guard lock(mutex_);
-  const auto it = entries_.find(key.to_string());
-  return it == entries_.end() ? nullptr : it->second.model;
-}
-
-std::size_t ModelCache::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
 }
 
 ModelCache::Stats ModelCache::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-std::vector<std::string> ModelCache::resident_keys() const {
-  std::lock_guard lock(mutex_);
-  return {lru_.begin(), lru_.end()};
 }
 
 }  // namespace repro::serve

@@ -1,29 +1,30 @@
-// LRU cache of trained FrequencyModels, shared by the serving shards.
+// Train-once model cache: trained FrequencyModels saved in a directory that
+// threads and processes share.
 //
 // A model is identified by everything that determines its trained weights:
 // the device, the two regressor registry keys, and the training options
-// (configuration budget, mem-L exclusion). Cache hits return a
-// shared_ptr<const FrequencyModel> — shards hold the handle for as long as
-// they serve with it, so eviction never invalidates in-flight predictions.
+// (configuration budget, mem-L exclusion). get_or_train returns a
+// shared_ptr<const FrequencyModel> the caller serves with for as long as it
+// likes.
 //
-// When constructed with a directory the cache is write-through: trained
-// models are persisted with FrequencyModel::save (the same serialization
-// behind Predictor::Builder::cache), and a miss first tries the disk copy.
-// A corrupt, truncated, or key-mismatched file is never fatal — loading
-// returns a common::Result error internally and the cache falls back to
-// retraining, overwriting the bad file.
+// Without a directory the cache simply trains. With one, each key has a
+// lock file next to its model file, and get_or_train holds an exclusive
+// flock(2) on it across probe, load or train, and save: every thread and
+// process sharing the directory trains a key once, and the rest load the
+// copy it saved. A holder that dies releases the lock with its descriptors,
+// so the next caller trains instead of waiting forever. A corrupt,
+// truncated, or key-mismatched model file is never fatal — loading returns
+// a common::Result error internally and the cache falls back to retraining,
+// overwriting the bad file.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "benchgen/benchgen.hpp"
 #include "common/status.hpp"
@@ -50,7 +51,8 @@ struct ModelKey {
 
   friend bool operator==(const ModelKey&, const ModelKey&) = default;
 
-  /// Canonical "device|speedup|energy|configs|excl|suite" form (logs, map key).
+  /// Canonical "device|speedup|energy|configs|excl|suite" form (logs; its
+  /// hash makes file_stem collision-free).
   [[nodiscard]] std::string to_string() const;
   /// Filesystem-safe stem for the on-disk copy, stable across runs.
   [[nodiscard]] std::string file_stem() const;
@@ -87,56 +89,32 @@ class ModelCache {
   using Trainer = std::function<common::Result<core::FrequencyModel>()>;
 
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;        // miss = trained (disk load counts as hit_disk)
-    std::uint64_t disk_hits = 0;
+    std::uint64_t misses = 0;        // trained
+    std::uint64_t disk_hits = 0;     // loaded the saved copy
     std::uint64_t disk_errors = 0;   // corrupt / mismatched files survived
-    std::uint64_t evictions = 0;
   };
 
-  /// Keep at most `capacity` models in memory (>= 1). With a non-empty
-  /// `disk_dir`, persist trained models there and try it first on a miss.
-  explicit ModelCache(std::size_t capacity, std::string disk_dir = {});
+  /// With a non-empty `disk_dir`, persist trained models there and train
+  /// each key once across everyone sharing the directory.
+  explicit ModelCache(std::string disk_dir = {});
 
   ModelCache(const ModelCache&) = delete;
   ModelCache& operator=(const ModelCache&) = delete;
 
-  /// Return the cached model for `key`, loading it from disk or training it
-  /// (via `trainer`) on a miss. Serialized so concurrent callers of the
-  /// same key train once; held shared_ptrs outlive eviction.
+  /// Load the saved model for `key`, or train it (via `trainer`) and save
+  /// it. With a directory the call holds `<dir>/<key.file_stem()>.lock`
+  /// throughout, so concurrent callers of one key — threads or processes —
+  /// wait for the first trainer and then load its copy.
   [[nodiscard]] common::Result<std::shared_ptr<const core::FrequencyModel>> get_or_train(
       const ModelKey& key, const Trainer& trainer);
 
-  /// The cached model when present (no disk probe, no training).
-  [[nodiscard]] std::shared_ptr<const core::FrequencyModel> peek(const ModelKey& key);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Where the write-through copy of `key` lives (or would live); empty
-  /// when the cache is memory-only. The fleet broker hands this path to
-  /// workers so they load the broker-trained model instead of retraining.
-  [[nodiscard]] std::string disk_path(const ModelKey& key) const {
-    return disk_dir_.empty() ? std::string() : path_for(key);
-  }
   [[nodiscard]] Stats stats() const;
-  /// Keys currently resident, most recently used first (tests).
-  [[nodiscard]] std::vector<std::string> resident_keys() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const core::FrequencyModel> model;
-    std::list<std::string>::iterator lru_pos;  // into lru_, most recent at front
-  };
+  void count(std::uint64_t Stats::*counter);
 
-  [[nodiscard]] std::string path_for(const ModelKey& key) const;
-  void insert_locked(const std::string& canonical,
-                     std::shared_ptr<const core::FrequencyModel> model);
-
-  const std::size_t capacity_;
   const std::string disk_dir_;
-  mutable std::mutex mutex_;
-  std::list<std::string> lru_;  // canonical keys, most recent first
-  std::unordered_map<std::string, Entry> entries_;
+  mutable std::mutex mutex_;  // guards stats_ only; the file lock orders training
   Stats stats_;
 };
 

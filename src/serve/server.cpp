@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -190,24 +191,33 @@ void SocketServer::Impl::accept_loop() {
     conn->fd = fd;
     Conn* raw = conn.get();
     conns.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] {
-      serve_connection(raw->fd);
-      // Signal EOF to the peer now: the fd itself is closed only by the
-      // reap sweep (so stop() can never shutdown() a recycled descriptor),
-      // but the sweep runs at the next accept — without this, a pipelining
-      // client that half-closes and reads to EOF would hang until then.
-      ::shutdown(raw->fd, SHUT_RDWR);
-      // Reap siblings before raising our own done flag: entries with done
-      // set are past this epilogue and hold no locks, so joining them under
-      // conn_mutex cannot deadlock — and an idle server retains at most
-      // this one exited connection rather than every one since the last
-      // accept.
-      {
-        std::lock_guard lock(conn_mutex);
-        reap_finished_locked();
-      }
-      raw->done.store(true, std::memory_order_release);
-    });
+    try {
+      raw->thread = std::thread([this, raw] {
+        serve_connection(raw->fd);
+        // Signal EOF to the peer now: the fd itself is closed only by the
+        // reap sweep (so stop() can never shutdown() a recycled descriptor),
+        // but the sweep runs at the next accept — without this, a pipelining
+        // client that half-closes and reads to EOF would hang until then.
+        ::shutdown(raw->fd, SHUT_RDWR);
+        // Reap siblings before raising our own done flag: entries with done
+        // set are past this epilogue and hold no locks, so joining them under
+        // conn_mutex cannot deadlock — and an idle server retains at most
+        // this one exited connection rather than every one since the last
+        // accept.
+        {
+          std::lock_guard lock(conn_mutex);
+          reap_finished_locked();
+        }
+        raw->done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& e) {
+      // No thread to spare: refuse this connection, keep serving the rest.
+      conns.pop_back();
+      ::close(fd);
+      common::log_warn() << "SocketServer: cannot start a connection thread ("
+                         << e.what() << "); connection closed";
+      continue;
+    }
     obs_connections->inc();
     std::lock_guard slock(stats_mutex);
     ++stats.connections;
@@ -247,7 +257,7 @@ void SocketServer::Impl::serve_connection(int fd) {
   };
   common::BoundedQueue<PendingReply> replies(std::max<std::size_t>(1, options.max_inflight));
   std::atomic<bool> write_failed{false};
-  std::thread writer([&] {
+  const auto write_replies = [&] {
     // One pooled reply buffer for the whole connection: every prediction
     // reply is serialized _into it in place — the steady state writes
     // without touching the heap.
@@ -296,7 +306,17 @@ void SocketServer::Impl::serve_connection(int fd) {
         ::shutdown(fd, SHUT_RD);
       }
     }
-  });
+  };
+  std::thread writer;
+  try {
+    writer = std::thread(write_replies);
+  } catch (const std::system_error& e) {
+    // No thread to spare (e.g. address space for its stack): close this
+    // connection and keep serving the others.
+    common::log_warn() << "SocketServer: cannot start a reply writer (" << e.what()
+                       << "); connection closed";
+    return;
+  }
 
   auto count_protocol_error = [&] {
     obs_protocol_errors->inc();
@@ -620,7 +640,7 @@ WireStats SocketServer::Impl::wire_stats() {
   }
   if (options.model_cache != nullptr) {
     const auto cache_stats = options.model_cache->stats();
-    wire.cache_hits = cache_stats.hits + cache_stats.disk_hits;
+    wire.cache_hits = cache_stats.disk_hits;
     wire.cache_misses = cache_stats.misses;
   }
   return wire;
@@ -638,7 +658,7 @@ WireMetrics SocketServer::Impl::wire_metrics() {
   if (options.model_cache != nullptr) {
     const auto cache_stats = options.model_cache->stats();
     registry->gauge("repro_cache_hits")
-        ->set(static_cast<double>(cache_stats.hits + cache_stats.disk_hits));
+        ->set(static_cast<double>(cache_stats.disk_hits));
     registry->gauge("repro_cache_misses")
         ->set(static_cast<double>(cache_stats.misses));
   }

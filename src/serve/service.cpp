@@ -101,37 +101,28 @@ Service::Service(std::shared_ptr<const core::FrequencyModel> model,
   impl_ = std::make_unique<Impl>(options_);
 }
 
-ModelKey Service::key_for(const ServiceConfig& config) {
+common::Result<std::unique_ptr<Service>> Service::create(const ServiceConfig& config,
+                                                         ModelCache& cache) {
   // A custom suite joins the cache key as a fingerprint — a model trained
   // on a reduced suite must never be served for the default one (or vice
   // versa); the generated default suite is deterministic, so its name alone
   // identifies it.
-  return ModelKey::from_options(
+  const ModelKey key = ModelKey::from_options(
       config.device.freq.device_name(), config.training,
       config.suite.has_value() ? ModelKey::fingerprint(*config.suite)
                                : std::string(ModelKey::kDefaultSuite));
-}
-
-common::Result<std::shared_ptr<const core::FrequencyModel>> Service::train_or_fetch(
-    const ServiceConfig& config, ModelCache& cache) {
-  return cache.get_or_train(
-      key_for(config), [&]() -> common::Result<core::FrequencyModel> {
-        const core::SimulatorBackend backend(config.device);
-        if (config.suite.has_value()) {
-          if (config.suite->empty()) {
-            return common::invalid_argument("serve::Service: empty training suite");
-          }
-          return core::FrequencyModel::train(backend, *config.suite, config.training);
-        }
-        auto suite = benchgen::generate_training_suite();
-        if (!suite.ok()) return suite.error();
-        return core::FrequencyModel::train(backend, suite.value(), config.training);
-      });
-}
-
-common::Result<std::unique_ptr<Service>> Service::create(const ServiceConfig& config,
-                                                         ModelCache& cache) {
-  auto model = train_or_fetch(config, cache);
+  auto model = cache.get_or_train(key, [&]() -> common::Result<core::FrequencyModel> {
+    const core::SimulatorBackend backend(config.device);
+    if (config.suite.has_value()) {
+      if (config.suite->empty()) {
+        return common::invalid_argument("serve::Service: empty training suite");
+      }
+      return core::FrequencyModel::train(backend, *config.suite, config.training);
+    }
+    auto suite = benchgen::generate_training_suite();
+    if (!suite.ok()) return suite.error();
+    return core::FrequencyModel::train(backend, suite.value(), config.training);
+  });
   if (!model.ok()) return model.error();
   return from_model(std::move(model).take(), config.options);
 }

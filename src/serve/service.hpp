@@ -4,7 +4,7 @@
 //   admission queue          scheduler                shards
 //   (BoundedQueue) ──pop──▶ coalesce ≤ max_batch  ──▶ shard 0: Predictor ─▶ promise
 //    submit() seq#           within batch_window  ──▶ shard 1: Predictor ─▶ promise
-//    submit_source()         sort by seq#, RR     ──▶ …        (LRU ModelCache)
+//    submit_source()         sort by seq#, RR     ──▶ …        (one model)
 //
 // Requests carry either pre-extracted features (submit) or raw OpenCL-C
 // source (submit_source). Source requests are featurized on the worker
@@ -77,7 +77,7 @@ struct ServiceOptions {
   std::size_t spare_batches = 8;
 };
 
-/// What a Service trains (or fetches from a ModelCache) at startup.
+/// What a Service trains (or loads through a ModelCache) at startup.
 struct ServiceConfig {
   gpusim::DeviceModel device = gpusim::DeviceModel::titan_x();
   core::TrainingOptions training{};
@@ -90,22 +90,15 @@ class Service {
  public:
   using Response = common::Result<core::Predictor::KernelPrediction>;
 
-  /// Train (or fetch from `cache`) the model for `config`, then start the
-  /// scheduler and shard workers. The cache is only used during create —
-  /// the returned Service keeps the model alive on its own.
+  /// Load the model for `config` through `cache` (training it on a miss),
+  /// then start the scheduler and shard workers. The cache is only used
+  /// during create — the returned Service keeps the model alive on its own.
   [[nodiscard]] static common::Result<std::unique_ptr<Service>> create(
       const ServiceConfig& config, ModelCache& cache);
 
   /// Serve an already-trained model (tests, or a model trained elsewhere).
   [[nodiscard]] static common::Result<std::unique_ptr<Service>> from_model(
       std::shared_ptr<const core::FrequencyModel> model, const ServiceOptions& options);
-
-  /// The cache key create() files `config` under.
-  [[nodiscard]] static ModelKey key_for(const ServiceConfig& config);
-  /// The train-or-fetch step of create() by itself — what the fleet's
-  /// model-cache broker runs without starting a Service.
-  [[nodiscard]] static common::Result<std::shared_ptr<const core::FrequencyModel>>
-  train_or_fetch(const ServiceConfig& config, ModelCache& cache);
 
   ~Service();
   Service(const Service&) = delete;

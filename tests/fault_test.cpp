@@ -224,7 +224,7 @@ TEST(ClientFaultTest, IoTimeoutTurnsASilentServerIntoRetryableUnavailable) {
   auto client = rs::SocketClient::connect_tcp(ntohs(addr.sin_port), options);
   ASSERT_TRUE(client.ok()) << client.error().message;
   const auto t0 = std::chrono::steady_clock::now();
-  auto reply = client.value().raw_round_trip(R"({"id":1,"type":"health"})");
+  auto reply = client.value().health();
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.error().code, rc::ErrorCode::kUnavailable);
   EXPECT_TRUE(rc::is_retryable(reply.error().code));

@@ -29,11 +29,9 @@
 #include "core/model.hpp"
 #include "core/predictor.hpp"
 #include "fleet/balancer.hpp"
-#include "fleet/broker.hpp"
 #include "gpusim/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
-#include "serve/model_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
@@ -498,60 +496,6 @@ TEST(BalancerTest, AnswersHealthAndStatsItself) {
 
   balancer.value()->stop();
   worker.stop();
-}
-
-// --- the model-cache broker ---------------------------------------------------
-
-TEST(BrokerTest, TrainsOnceAndHandsWorkersTheDiskCopy) {
-  TempDir dir("repro-fleet-broker");
-  rs::ServiceConfig config;
-  config.suite = small_suite();
-  config.training.num_configs = 8;
-
-  rf::BrokerOptions options;
-  options.unix_path = (dir.path / "broker.sock").string();
-  options.cache_dir = (dir.path / "cache").string();
-  auto broker = rf::Broker::start(config, options);
-  ASSERT_TRUE(broker.ok()) << broker.error().message;
-
-  // N concurrent workers ask for the model; the broker's get_or_train
-  // mutex means exactly one training run.
-  constexpr std::size_t kWorkers = 4;
-  std::vector<rc::Result<rf::BrokerModelReply>> replies(
-      kWorkers, rc::internal_error("unset"));
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < kWorkers; ++i) {
-    threads.emplace_back(
-        [&, i] { replies[i] = rf::fetch_model(broker.value()->unix_path()); });
-  }
-  for (auto& t : threads) t.join();
-
-  for (const auto& reply : replies) {
-    ASSERT_TRUE(reply.ok()) << reply.error().message;
-    EXPECT_EQ(reply.value().path, replies[0].value().path);
-    EXPECT_TRUE(std::filesystem::exists(reply.value().path));
-  }
-  EXPECT_EQ(broker.value()->cache().stats().misses, 1u);
-  EXPECT_EQ(broker.value()->cache().stats().hits, kWorkers - 1);
-
-  // A worker pointing its own cache at the shared directory disk-hits and
-  // serves a model bit-identical to a freshly trained one.
-  rs::ModelCache worker_cache(2, options.cache_dir);
-  auto service = rs::Service::create(config, worker_cache);
-  ASSERT_TRUE(service.ok()) << service.error().message;
-  EXPECT_EQ(worker_cache.stats().disk_hits, 1u);
-  EXPECT_EQ(worker_cache.stats().misses, 0u);
-
-  auto direct = rco::Predictor::from_model(trained_model());
-  ASSERT_TRUE(direct.ok());
-  const auto reference = direct.value().predict_source(kSourceKernel);
-  ASSERT_TRUE(reference.ok());
-  auto served = service.value()->predict_source(kSourceKernel);
-  ASSERT_TRUE(served.ok()) << served.error().message;
-  EXPECT_TRUE(bitwise_equal(served.value().pareto, reference.value().pareto));
-
-  service.value()->stop();
-  broker.value()->stop();
 }
 
 // --- binary framing & chunked streams through the balancer --------------------

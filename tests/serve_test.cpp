@@ -1,14 +1,18 @@
 // The serving subsystem: BoundedQueue semantics, the JSON wire protocol
-// (including exact double round-trips), the LRU model cache (eviction,
-// disk reuse, corrupt-file fallback), deserializer robustness against
+// (including exact double round-trips), the model cache (train-once across
+// threads and processes, corrupt-file fallback), deserializer robustness against
 // truncated/corrupt model files, Predictor::Builder validation, and the
 // headline contract — serve::Service responses are bit-identical to direct
 // Predictor::predict_batch output at any shard count, batch window, and
 // thread count, under concurrent clients, in-process and over a socket.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -412,39 +416,51 @@ TEST(ProtocolTest, HealthAndStatsResponsesRoundTrip) {
 
 // --- ModelCache ---------------------------------------------------------------
 
-TEST(ModelCacheTest, TrainsOnceThenHits) {
-  rs::ModelCache cache(2);
+TEST(ModelCacheTest, TrainsOnceThenLoadsTheSavedCopy) {
+  TempDir dir("repro-cache-once");
   std::atomic<int> trainings{0};
-  const rs::ModelKey key = rs::ModelKey::from_options("dev", small_options());
+  const rs::ModelKey key = rs::ModelKey::from_options(
+      rg::DeviceModel::titan_x().freq.device_name(), small_options());
   const auto trainer = [&]() -> rc::Result<rco::FrequencyModel> {
     ++trainings;
     const rco::SimulatorBackend backend(rg::DeviceModel::titan_x());
     return rco::FrequencyModel::train(backend, small_suite(), small_options());
   };
+  rs::ModelCache cache(dir.path.string());
   const auto first = cache.get_or_train(key, trainer);
   ASSERT_TRUE(first.ok()) << first.error().message;
   const auto second = cache.get_or_train(key, trainer);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(trainings.load(), 1);
-  EXPECT_EQ(first.value().get(), second.value().get());  // same shared model
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(first.value()->serialize(), second.value()->serialize());
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+  // The model file sits next to the lock file that ordered its training.
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.file_stem() + ".model")));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.file_stem() + ".lock")));
+
+  // Without a directory there is no copy to share: every call trains.
+  rs::ModelCache private_cache;
+  ASSERT_TRUE(private_cache.get_or_train(key, trainer).ok());
+  ASSERT_TRUE(private_cache.get_or_train(key, trainer).ok());
+  EXPECT_EQ(trainings.load(), 3);
+  EXPECT_EQ(private_cache.stats().misses, 2u);
 }
 
-TEST(ModelCacheTest, SurvivesConcurrentGetInsertEvictChurn) {
-  // Many threads hammering more keys than the cache holds: every lookup
-  // must return a usable model, the resident set must respect capacity,
-  // and the counters must stay coherent. The trainer deserializes a
-  // pre-serialized model, so a "training run" is cheap enough to churn.
-  TempDir dir("repro-cache-churn");
+TEST(ModelCacheTest, ConcurrentThreadsTrainEachKeyOnce) {
+  // Many threads over several keys on one directory: each key's lock file
+  // lets exactly one caller train it, every other call loads the saved
+  // copy, and every call returns the same model bytes. The trainer
+  // deserializes a pre-serialized model, so a "training run" is cheap.
+  TempDir dir("repro-cache-threads");
   const std::string blob = trained_model()->serialize();
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kIters = 50;
   constexpr std::size_t kKeys = 6;
 
-  rs::ModelCache cache(2, dir.path.string());
+  rs::ModelCache cache(dir.path.string());
   // Distinct keys over the same underlying model; the device must be the
-  // model's real one or the disk probe rejects every write-through copy.
+  // model's real one or the disk probe rejects every saved copy.
   const std::string device = trained_model()->domain().device_name();
   std::vector<rs::ModelKey> keys;
   for (std::size_t k = 0; k < kKeys; ++k) {
@@ -453,23 +469,19 @@ TEST(ModelCacheTest, SurvivesConcurrentGetInsertEvictChurn) {
     keys.push_back(rs::ModelKey::from_options(device, options));
   }
 
-  std::atomic<std::uint64_t> trainings{0};
+  std::vector<std::atomic<int>> trainings(kKeys);
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < kIters; ++i) {
-        const auto& key = keys[(t * 31 + i) % kKeys];
-        auto model = cache.get_or_train(key, [&]() {
-          trainings.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t k = (t * 31 + i) % kKeys;
+        auto model = cache.get_or_train(keys[k], [&]() {
+          trainings[k].fetch_add(1, std::memory_order_relaxed);
           return rco::FrequencyModel::deserialize(blob);
         });
-        if (!model.ok() || model.value() == nullptr) {
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-        // The handle stays valid even if the entry is evicted underneath.
-        if (model.value()->serialize().empty()) {
+        if (!model.ok() || model.value() == nullptr ||
+            model.value()->serialize() != blob) {
           failed.store(true, std::memory_order_relaxed);
           return;
         }
@@ -479,17 +491,137 @@ TEST(ModelCacheTest, SurvivesConcurrentGetInsertEvictChurn) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_FALSE(failed.load());
-  EXPECT_LE(cache.size(), cache.capacity());
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(trainings[k].load(), 1) << keys[k].to_string();
+    EXPECT_TRUE(std::filesystem::exists(dir.path / (keys[k].file_stem() + ".model")));
+  }
   const auto stats = cache.stats();
   // Every call resolved exactly one way.
-  EXPECT_EQ(stats.hits + stats.misses + stats.disk_hits, kThreads * kIters);
-  EXPECT_EQ(stats.misses, trainings.load());
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.disk_hits, kThreads * kIters - kKeys);
   EXPECT_EQ(stats.disk_errors, 0u);
-  // 6 keys through a 2-entry cache must evict; write-through means a key
-  // can come back from disk instead of retraining.
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(stats.disk_hits, 0u);
-  EXPECT_LE(cache.resident_keys().size(), 2u);
+}
+
+namespace {
+
+/// Fork a process that opens its own ModelCache on `dir` and calls
+/// get_or_train(key). Its trainer appends one byte to `marker`; then, if
+/// `in_trainer_fd` >= 0, writes a byte there and holds the key's lock until
+/// killed, else sleeps briefly (so concurrent children queue on the lock)
+/// and returns the model `blob` deserializes to. When `start_fd` >= 0 the
+/// child first waits to read one byte from it. Exit status 0 iff the child's
+/// model serializes to `blob`. Returns the pid in the parent only.
+pid_t fork_cache_child(const std::string& dir, const rs::ModelKey& key,
+                       const std::string& blob, const std::string& marker,
+                       int start_fd, int in_trainer_fd) {
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  char go = 0;
+  if (start_fd >= 0 && ::read(start_fd, &go, 1) != 1) ::_exit(3);
+  rs::ModelCache cache(dir);
+  const auto model = cache.get_or_train(key, [&]() -> rc::Result<rco::FrequencyModel> {
+    const int fd = ::open(marker.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd < 0 || ::write(fd, "x", 1) != 1) ::_exit(4);
+    ::close(fd);
+    if (in_trainer_fd >= 0) {
+      if (::write(in_trainer_fd, "x", 1) != 1) ::_exit(5);
+      for (;;) ::pause();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return rco::FrequencyModel::deserialize(blob);
+  });
+  ::_exit(model.ok() && model.value()->serialize() == blob ? 0 : 1);
+}
+
+/// waitpid with a bound: a child still running after `limit` is killed and
+/// reported as -1 (a lock nobody releases must fail the test, not hang it),
+/// as is a pid waitpid cannot reap.
+int wait_child(pid_t pid, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return reaped == pid ? status : -1;
+}
+
+bool exited_cleanly(int status) {
+  return status != -1 && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+}  // namespace
+
+TEST(ModelCacheTest, ForkedProcessesTrainOnceAndOutliveAKilledTrainer) {
+  // Train-once across real processes, the guarantee a cold fleet relies on.
+  TempDir dir("repro-cache-fork");
+  const std::string cache_dir = dir.path.string();
+  // Trained here, before any fork: children only deserialize.
+  const std::string blob = trained_model()->serialize();
+  auto options = small_options();
+  const std::string device = trained_model()->domain().device_name();
+  const rs::ModelKey key = rs::ModelKey::from_options(device, options);
+  options.num_configs += 1;
+  const rs::ModelKey other = rs::ModelKey::from_options(device, options);
+
+  // Four processes released at once on an empty directory: one trains.
+  const std::string marker = (dir.path / "key.trained").string();
+  int start[2];
+  ASSERT_EQ(::pipe(start), 0);
+  std::vector<pid_t> children;
+  for (int i = 0; i < 4; ++i) {
+    const pid_t pid = fork_cache_child(cache_dir, key, blob, marker, start[0], -1);
+    if (pid > 0) children.push_back(pid);
+  }
+  EXPECT_EQ(children.size(), 4u);
+  const std::string go(children.size(), 'g');
+  EXPECT_EQ(::write(start[1], go.data(), go.size()), static_cast<ssize_t>(go.size()));
+  for (const pid_t pid : children) {
+    const int status = wait_child(pid, std::chrono::seconds(60));
+    EXPECT_TRUE(exited_cleanly(status)) << "child " << pid << " status " << status;
+  }
+  ::close(start[0]);
+  ::close(start[1]);
+  EXPECT_EQ(std::filesystem::file_size(marker), 1u);
+
+  // SIGKILL a trainer while it holds the lock, with a second process queued
+  // behind it: the kernel drops the dead holder's lock, the queued process
+  // trains, and the dead one leaves no torn model file.
+  const std::string other_marker = (dir.path / "other.trained").string();
+  int in_trainer[2];
+  ASSERT_EQ(::pipe(in_trainer), 0);
+  const pid_t victim =
+      fork_cache_child(cache_dir, other, blob, other_marker, -1, in_trainer[1]);
+  ASSERT_GT(victim, 0);
+  pollfd holding{in_trainer[0], POLLIN, 0};
+  const bool in_fit = ::poll(&holding, 1, 30000) == 1;
+  const pid_t successor =
+      in_fit ? fork_cache_child(cache_dir, other, blob, other_marker, -1, -1) : -1;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let it queue
+  ::kill(victim, SIGKILL);
+  int status = 0;
+  ::waitpid(victim, &status, 0);
+  ::close(in_trainer[0]);
+  ::close(in_trainer[1]);
+  ASSERT_TRUE(in_fit) << "the victim never reached its trainer";
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  ASSERT_GT(successor, 0);
+  status = wait_child(successor, std::chrono::seconds(60));
+  EXPECT_TRUE(exited_cleanly(status)) << "successor status " << status;
+  EXPECT_EQ(std::filesystem::file_size(other_marker), 2u);  // victim, then successor
+
+  std::size_t models = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    if (entry.path().extension() != ".model") continue;
+    ++models;
+    EXPECT_TRUE(rs::load_cached_model(entry.path().string()).ok()) << entry.path();
+  }
+  EXPECT_EQ(models, 2u);
 }
 
 TEST(ModelCacheTest, SuiteFingerprintSeparatesKeys) {
@@ -509,30 +641,6 @@ TEST(ModelCacheTest, SuiteFingerprintSeparatesKeys) {
   EXPECT_EQ(fp_reduced, rs::ModelKey::fingerprint(small_suite()));
 }
 
-TEST(ModelCacheTest, EvictsLeastRecentlyUsed) {
-  rs::ModelCache cache(2);
-  const auto trainer = [&]() -> rc::Result<rco::FrequencyModel> {
-    const rco::SimulatorBackend backend(rg::DeviceModel::titan_x());
-    return rco::FrequencyModel::train(backend, small_suite(), small_options());
-  };
-  rs::ModelKey a = rs::ModelKey::from_options("a", small_options());
-  rs::ModelKey b = rs::ModelKey::from_options("b", small_options());
-  rs::ModelKey c = rs::ModelKey::from_options("c", small_options());
-  ASSERT_TRUE(cache.get_or_train(a, trainer).ok());
-  ASSERT_TRUE(cache.get_or_train(b, trainer).ok());
-  ASSERT_TRUE(cache.get_or_train(a, trainer).ok());  // a is now most recent
-  auto held_b = cache.peek(b);                       // holds b across eviction
-  ASSERT_NE(held_b, nullptr);
-  ASSERT_TRUE(cache.get_or_train(c, trainer).ok());  // evicts b (LRU)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.peek(b), nullptr);
-  EXPECT_NE(cache.peek(a), nullptr);
-  EXPECT_NE(cache.peek(c), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_NE(held_b, nullptr);  // eviction never invalidates held handles
-  EXPECT_EQ(cache.resident_keys().front(), c.to_string());
-}
-
 TEST(ModelCacheTest, ReloadsFromDiskAcrossInstances) {
   TempDir dir("repro-model-cache");
   std::atomic<int> trainings{0};
@@ -545,13 +653,13 @@ TEST(ModelCacheTest, ReloadsFromDiskAcrossInstances) {
   };
   std::string serialized;
   {
-    rs::ModelCache cache(2, dir.path.string());
+    rs::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     serialized = model.value()->serialize();
   }
   {
-    rs::ModelCache cache(2, dir.path.string());
+    rs::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     EXPECT_EQ(trainings.load(), 1);  // served from disk, not retrained
@@ -572,7 +680,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
     return rco::FrequencyModel::train(backend, small_suite(), small_options());
   };
   {
-    rs::ModelCache cache(2, dir.path.string());
+    rs::ModelCache cache(dir.path.string());
     ASSERT_TRUE(cache.get_or_train(key, trainer).ok());
   }
   // Truncate the persisted model mid-file: the next instance must survive,
@@ -582,7 +690,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
   const auto full_size = std::filesystem::file_size(file);
   std::filesystem::resize_file(file, full_size / 2);
   {
-    rs::ModelCache cache(2, dir.path.string());
+    rs::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     EXPECT_EQ(trainings.load(), 2);
@@ -591,7 +699,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
   // The rewritten file serves the third instance again.
   EXPECT_EQ(std::filesystem::file_size(file), full_size);
   {
-    rs::ModelCache cache(2, dir.path.string());
+    rs::ModelCache cache(dir.path.string());
     ASSERT_TRUE(cache.get_or_train(key, trainer).ok());
     EXPECT_EQ(trainings.load(), 2);
   }
@@ -686,7 +794,7 @@ TEST(ModelRobustnessTest, WrongFeatureWidthIsAParseError) {
   std::ofstream(dir.path / (key.file_stem() + ".model"))
       << "gpufreq_checksum " << hash << '\n' << narrow;
   std::atomic<int> trainings{0};
-  rs::ModelCache cache(2, dir.path.string());
+  rs::ModelCache cache(dir.path.string());
   const auto model = cache.get_or_train(key, [&]() {
     ++trainings;
     return rco::FrequencyModel::deserialize(full);
@@ -839,16 +947,16 @@ TEST(ServiceTest, CreateTrainsThroughModelCache) {
   config.suite = small_suite();
   config.training = small_options();
   config.options.shards = 2;
-  rs::ModelCache cache(2, dir.path.string());
+  rs::ModelCache cache(dir.path.string());
   auto service = rs::Service::create(config, cache);
   ASSERT_TRUE(service.ok()) << service.error().message;
   EXPECT_EQ(cache.stats().misses, 1u);
   auto response = service.value()->predict(request_mix(1)[0]);
   ASSERT_TRUE(response.ok());
-  // The same cache immediately serves a second service without retraining.
+  // The same cache serves a second service from the saved copy.
   auto second = rs::Service::create(config, cache);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
@@ -939,7 +1047,7 @@ TEST(SocketTest, ServerAnswersHealthAndStatsOverTheWire) {
   rs::ServiceConfig config;
   config.suite = small_suite();
   config.training = small_options();
-  rs::ModelCache cache(2, dir.path.string());
+  rs::ModelCache cache(dir.path.string());
   auto service = rs::Service::create(config, cache);
   ASSERT_TRUE(service.ok()) << service.error().message;
 
