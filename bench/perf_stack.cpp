@@ -896,8 +896,10 @@ ServingResult bench_serving(const std::shared_ptr<const core::FrequencyModel>& m
 /// pairs so machine noise hits both sides alike; the reported overhead is
 /// the MINIMUM across pairs (min-of-N sees through scheduler noise, and a
 /// real cost shows up in every pair). Tracing is off in both runs — it is
-/// off by default per request — and the disabled side still pays the one
-/// relaxed load per event that REPRO_OBS=OFF removes at compile time.
+/// off by default per request — and the disabled side still pays one
+/// relaxed load per event. The registry is the service's only count, so
+/// the disabled side's Service::stats() reads zero; only the instrumented
+/// side's batch count is reported.
 ServingResult bench_serving_obs_overhead(
     const std::shared_ptr<const core::FrequencyModel>& model,
     const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,

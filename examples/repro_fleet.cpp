@@ -42,6 +42,7 @@
 #include "common/fault.hpp"
 #include "fleet/balancer.hpp"
 #include "fleet/supervisor.hpp"
+#include "obs/metrics.hpp"
 
 using namespace repro;
 
@@ -219,18 +220,22 @@ int main(int argc, char** argv) {
 
   std::printf("repro_fleet: shutting down\n");
   balancer.value()->stop();
-  const auto routed = balancer.value()->stats();
   supervisor.value()->stop();
   const auto lifecycle = supervisor.value()->stats();
 
+  // The balancer's own counters, as its "metrics" reply reports them.
+  obs::Registry& registry = balancer.value()->registry();
+  const auto count = [&registry](const char* name) {
+    return static_cast<unsigned long long>(registry.counter(name)->value());
+  };
   std::printf("repro_fleet: %llu connections, %llu requests, "
               "%llu redispatches, %llu backend failures, %llu reconnects; "
               "%llu spawns, %llu crashes, %llu restarts, %llu chaos kills\n",
-              static_cast<unsigned long long>(routed.connections),
-              static_cast<unsigned long long>(routed.requests),
-              static_cast<unsigned long long>(routed.redispatches),
-              static_cast<unsigned long long>(routed.backend_failures),
-              static_cast<unsigned long long>(routed.reconnects),
+              count("repro_balancer_connections_total"),
+              count("repro_balancer_requests_total"),
+              count("repro_balancer_redispatches_total"),
+              count("repro_balancer_backend_failures_total"),
+              count("repro_balancer_reconnects_total"),
               static_cast<unsigned long long>(lifecycle.spawns),
               static_cast<unsigned long long>(lifecycle.crashes),
               static_cast<unsigned long long>(lifecycle.restarts),

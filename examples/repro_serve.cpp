@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "benchgen/benchgen.hpp"
+#include "obs/metrics.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -142,14 +143,14 @@ int main(int argc, char** argv) {
   std::printf("repro_serve: shutting down\n");
   server.value()->stop();
   service.value()->stop();
-  const auto served = server.value()->stats();
-  const auto batched = service.value()->stats();
-  std::printf("repro_serve: %llu connections, %llu requests, %llu batches "
-              "(largest %llu), %llu protocol errors\n",
-              static_cast<unsigned long long>(served.connections),
-              static_cast<unsigned long long>(served.requests),
-              static_cast<unsigned long long>(batched.batches),
-              static_cast<unsigned long long>(batched.max_batch_seen),
-              static_cast<unsigned long long>(served.protocol_errors));
+  // The same counters a "metrics" scrape reports.
+  obs::Registry& registry = service.value()->registry();
+  const auto count = [&registry](const char* name) {
+    return static_cast<unsigned long long>(registry.counter(name)->value());
+  };
+  std::printf("repro_serve: %llu connections, %llu requests, %llu batches, "
+              "%llu protocol errors\n",
+              count("repro_connections_total"), count("repro_requests_total"),
+              count("repro_batches_total"), count("repro_protocol_errors_total"));
   return 0;
 }

@@ -27,11 +27,9 @@
 // (worker draining, overload shed, expired deadline) are expected under
 // chaos and do not fail the burst.
 //
-// Introspection instead of prediction:
-//   --stats    pretty table of the server's full counter dump (shed,
-//              deadline_exceeded, peak_message_bytes, ...)
-//   --metrics  the server's metrics-registry exposition (against a
-//              balancer: merged across the fleet)
+// --metrics prints the server's metrics-registry exposition instead of
+// predicting — every counter it keeps (against a balancer: merged across
+// the fleet).
 //
 // --trace asks every hop for per-stage timings and prints the stage table
 // on stderr (stderr so --dump stdout stays byte-comparable). In pipeline
@@ -65,37 +63,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--unix PATH | --tcp PORT) [--file kernel.cl] [--kernel NAME]\n"
                "          [--pipeline N] [--dump] [--deadline-ms X] [--trace]\n"
-               "          [--stats | --metrics]\n",
+               "          [--metrics]\n",
                argv0);
   return 2;
-}
-
-/// Human table of the full counter dump; the interesting overload counters
-/// (shed, deadline_exceeded) and the streaming memory bound
-/// (peak_message_bytes) get called out even when zero.
-void print_stats(const serve::WireStats& s) {
-  std::printf("%-22s %14.3f\n", "uptime_s", s.uptime_s);
-  const struct {
-    const char* name;
-    std::uint64_t value;
-  } rows[] = {
-      {"queue_depth", s.queue_depth},
-      {"requests", s.requests},
-      {"source_requests", s.source_requests},
-      {"batches", s.batches},
-      {"connections", s.connections},
-      {"protocol_errors", s.protocol_errors},
-      {"cache_hits", s.cache_hits},
-      {"cache_misses", s.cache_misses},
-      {"shed", s.shed},
-      {"deadline_exceeded", s.deadline_exceeded},
-      {"streamed", s.streamed},
-      {"peak_message_bytes", s.peak_message_bytes},
-  };
-  for (const auto& row : rows) {
-    std::printf("%-22s %14llu\n", row.name,
-                static_cast<unsigned long long>(row.value));
-  }
 }
 
 void print_last_trace(serve::SocketClient& client) {
@@ -126,7 +96,6 @@ int main(int argc, char** argv) {
   std::size_t pipeline = 0;
   bool dump = false;
   bool trace = false;
-  bool want_stats = false;
   bool want_metrics = false;
   double deadline_ms = 0.0;
 
@@ -147,8 +116,6 @@ int main(int argc, char** argv) {
       dump = true;
     } else if (arg == "--trace") {
       trace = true;
-    } else if (arg == "--stats") {
-      want_stats = true;
     } else if (arg == "--metrics") {
       want_metrics = true;
     } else if (arg == "--deadline-ms" && has_value) {
@@ -180,15 +147,6 @@ int main(int argc, char** argv) {
   if (deadline_ms > 0.0) client.value().set_deadline_ms(deadline_ms);
   if (trace) client.value().set_trace_enabled(true);
 
-  if (want_stats) {
-    auto stats = client.value().stats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "stats: %s\n", stats.error().to_string().c_str());
-      return 1;
-    }
-    print_stats(stats.value());
-    return 0;
-  }
   if (want_metrics) {
     auto metrics = client.value().metrics();
     if (!metrics.ok()) {

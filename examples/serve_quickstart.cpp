@@ -45,9 +45,8 @@ int main() {
   for (auto& t : clients) t.join();
 
   const auto stats = service.value()->stats();
-  std::printf("\n%llu requests in %llu batches (largest batch: %llu)\n",
+  std::printf("\n%llu requests in %llu batches\n",
               static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.max_batch_seen));
+              static_cast<unsigned long long>(stats.batches));
   return 0;
 }

@@ -4,8 +4,9 @@
 # wire end to end — a predict_source request (OpenCL source featurized on
 # the worker shards), a warm repeat, and a pipelined burst (several
 # predict_source requests written before any response is read, answered in
-# request order) — and finally shut the server down gracefully and require
-# a clean exit. Usage:
+# request order) — then read the live server's counters through a metrics
+# request, and finally shut the server down gracefully and require a clean
+# exit. Usage:
 #
 #   scripts/serve_smoke.sh BUILD_DIR
 #
@@ -80,6 +81,23 @@ case $pipeline_out in
     exit 1
     ;;
 esac
+
+# The live server's registry must have counted exactly that traffic: 1 + 1
+# + 6 predict_source requests over 3 connections, plus the metrics
+# client's own connection, and no protocol errors.
+metrics_out=$("$build_dir/repro_serve_client" --unix "$sock" --metrics)
+for expected in \
+  "repro_requests_total 8" \
+  "repro_source_requests_total 8" \
+  "repro_connections_total 4" \
+  "repro_protocol_errors_total 0"; do
+  if ! printf '%s\n' "$metrics_out" | grep -qx "$expected"; then
+    echo "serve_smoke: live metrics lack '$expected'" >&2
+    printf '%s\n' "$metrics_out" | grep -E '^repro_[a-z_]+_total ' >&2
+    exit 1
+  fi
+done
+echo "serve_smoke: live counters match the traffic sent"
 
 kill -TERM "$server_pid"
 server_status=0

@@ -119,16 +119,11 @@ struct Balancer::Impl {
     std::mutex write_mutex;
 
     std::atomic<std::size_t> outstanding{0};
-    std::atomic<std::uint64_t> routed{0};
     std::thread reader;
 
     // Maintenance bookkeeping (maintenance thread only).
     std::chrono::steady_clock::time_point next_reconnect{};
     std::chrono::milliseconds backoff{50};
-
-    // Last health-ping answers (state_mutex).
-    double last_uptime_s = 0.0;
-    std::uint64_t last_queue_depth = 0;
   };
 
   BalancerOptions options;
@@ -156,25 +151,21 @@ struct Balancer::Impl {
   std::atomic<bool> stopping{false};
   std::once_flag stop_once;
 
-  mutable std::mutex stats_mutex;
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t redispatches = 0;
-  std::uint64_t backend_failures = 0;
-  std::uint64_t reconnects = 0;
-  std::uint64_t peak_message_bytes = 0;
-
-  /// The balancer's own metrics (see BalancerOptions::registry for why the
-  /// default is private, not global). Counter pointers are resolved once at
-  /// start; gauges are set at scrape time by gather_metrics.
-  obs::Registry owned_registry;
-  obs::Registry* registry = nullptr;
+  /// The balancer's own metrics — never shared with a worker's, so an
+  /// in-process fleet cannot double-count when a "metrics" scrape merges
+  /// backend snapshots with these. Instrument pointers are resolved once at
+  /// start; point-in-time gauges are set at scrape time by gather_metrics.
+  obs::Registry registry;
+  obs::Counter* obs_connections = nullptr;
   obs::Counter* obs_requests = nullptr;
+  obs::Counter* obs_protocol_errors = nullptr;
   obs::Counter* obs_dispatches = nullptr;
   obs::Counter* obs_redispatches = nullptr;
   obs::Counter* obs_backend_failures = nullptr;
   obs::Counter* obs_reconnects = nullptr;
+  /// High-water mark, across finished client connections, of bytes
+  /// buffered for one message (same contract as the worker's gauge).
+  obs::Gauge* obs_peak_message_bytes = nullptr;
 
   void accept_loop();
   void serve_connection(int fd);
@@ -198,7 +189,7 @@ struct Balancer::Impl {
   /// One bounded round of per-backend "metrics" scrapes, merged with the
   /// balancer's own registry.
   [[nodiscard]] serve::WireMetrics gather_metrics();
-  [[nodiscard]] serve::WireStats own_wire_stats();
+  [[nodiscard]] double uptime_s() const;
 };
 
 Balancer::Balancer() : impl_(std::make_unique<Impl>()) {}
@@ -213,13 +204,15 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   impl.options = options;
   impl.pool = options.buffer_pool != nullptr ? options.buffer_pool
                                              : &common::BufferPool::global();
-  impl.registry = options.registry != nullptr ? options.registry : &impl.owned_registry;
-  impl.obs_requests = impl.registry->counter("repro_balancer_requests_total");
-  impl.obs_dispatches = impl.registry->counter("repro_balancer_dispatches_total");
-  impl.obs_redispatches = impl.registry->counter("repro_balancer_redispatches_total");
-  impl.obs_backend_failures =
-      impl.registry->counter("repro_balancer_backend_failures_total");
-  impl.obs_reconnects = impl.registry->counter("repro_balancer_reconnects_total");
+  obs::Registry& registry = impl.registry;
+  impl.obs_connections = registry.counter("repro_balancer_connections_total");
+  impl.obs_requests = registry.counter("repro_balancer_requests_total");
+  impl.obs_protocol_errors = registry.counter("repro_balancer_protocol_errors_total");
+  impl.obs_dispatches = registry.counter("repro_balancer_dispatches_total");
+  impl.obs_redispatches = registry.counter("repro_balancer_redispatches_total");
+  impl.obs_backend_failures = registry.counter("repro_balancer_backend_failures_total");
+  impl.obs_reconnects = registry.counter("repro_balancer_reconnects_total");
+  impl.obs_peak_message_bytes = registry.gauge("repro_balancer_peak_message_bytes");
 
   // Backends first: a balancer that cannot reach its fleet should fail
   // loudly at startup, not accept clients it cannot serve. The connect
@@ -371,14 +364,7 @@ void Balancer::Impl::backend_reader(Backend& backend) {
       }
       if (pending == nullptr) continue;  // stale id; nothing owed
       backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      if (pending->internal) {
-        if (response.value().stats.has_value()) {
-          std::lock_guard lock(backend.state_mutex);
-          backend.last_uptime_s = response.value().stats->uptime_s;
-          backend.last_queue_depth = response.value().stats->queue_depth;
-        }
-        continue;
-      }
+      if (pending->internal) continue;  // a health ping: the reply is proof of life
       if (response.value().error.has_value() &&
           response.value().error->code == common::ErrorCode::kUnavailable &&
           !pending->streamed && !stopping.load(std::memory_order_acquire)) {
@@ -386,10 +372,6 @@ void Balancer::Impl::backend_reader(Backend& backend) {
         // to a live worker instead of surfacing the refusal. A streamed
         // request cannot move (its chunks were never buffered here): the
         // refusal goes back to the client, which can retry the stream.
-        {
-          std::lock_guard lock(stats_mutex);
-          ++redispatches;
-        }
         obs_redispatches->inc();
         dispatch(pending);
         continue;
@@ -412,11 +394,6 @@ void Balancer::Impl::teardown_backend(Backend& backend) {
   }
   backend.outstanding.fetch_sub(orphans.size(), std::memory_order_relaxed);
   if (!orphans.empty() || !stopping.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard lock(stats_mutex);
-      ++backend_failures;
-      redispatches += orphans.size();
-    }
     obs_backend_failures->inc();
     obs_redispatches->inc(orphans.size());
   }
@@ -545,7 +522,6 @@ void Balancer::Impl::dispatch(const PendingPtr& pending) {
       }
     }
     if (written) {
-      backend->routed.fetch_add(1, std::memory_order_relaxed);
       obs_dispatches->inc();
       return;
     }
@@ -668,19 +644,17 @@ serve::WireMetrics Balancer::Impl::gather_metrics() {
 
   // The balancer's own registry rides along (names are disjoint by the
   // repro_balancer_ prefix), with its gauges stamped at scrape time.
-  registry->gauge("repro_balancer_uptime_seconds")
-      ->set(std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-                .count());
+  registry.gauge("repro_balancer_uptime_seconds")->set(uptime_s());
   std::size_t outstanding = 0;
   std::size_t alive = 0;
   for (const auto& backend : backends) {
     outstanding += backend->outstanding.load(std::memory_order_relaxed);
     if (backend->alive.load(std::memory_order_acquire)) ++alive;
   }
-  registry->gauge("repro_balancer_pending")->set(static_cast<double>(outstanding));
-  registry->gauge("repro_balancer_backends_alive")->set(static_cast<double>(alive));
-  registry->gauge("repro_balancer_backends_scraped")->set(static_cast<double>(scraped));
-  for (const auto& [name, value] : registry->snapshot_values()) {
+  registry.gauge("repro_balancer_pending")->set(static_cast<double>(outstanding));
+  registry.gauge("repro_balancer_backends_alive")->set(static_cast<double>(alive));
+  registry.gauge("repro_balancer_backends_scraped")->set(static_cast<double>(scraped));
+  for (const auto& [name, value] : registry.snapshot_values()) {
     merge_value(name, value);
   }
 
@@ -744,10 +718,6 @@ void Balancer::Impl::maintenance_loop() {
           }
           backend.backoff = std::chrono::milliseconds(50);
           start_reader(backend);
-          {
-            std::lock_guard lock(stats_mutex);
-            ++reconnects;
-          }
           obs_reconnects->inc();
           common::log_info() << "Balancer: reconnected to "
                              << endpoint_name(backend.endpoint);
@@ -816,10 +786,7 @@ void Balancer::Impl::accept_loop() {
       ::close(fd);
       common::log_warn() << "Balancer: cannot start a connection thread ("
                          << e.what() << "); connection closed";
-      continue;
     }
-    std::lock_guard slock(stats_mutex);
-    ++connections;
   }
 }
 
@@ -835,25 +802,15 @@ void Balancer::Impl::reap_finished_locked() {
   }
 }
 
-serve::WireStats Balancer::Impl::own_wire_stats() {
-  serve::WireStats wire;
-  wire.uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  std::size_t outstanding = 0;
-  for (const auto& backend : backends) {
-    outstanding += backend->outstanding.load(std::memory_order_relaxed);
-  }
-  wire.queue_depth = outstanding;
-  std::lock_guard lock(stats_mutex);
-  wire.requests = requests;
-  wire.connections = connections;
-  wire.protocol_errors = protocol_errors;
-  wire.peak_message_bytes = peak_message_bytes;
-  return wire;
+double Balancer::Impl::uptime_s() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+      .count();
 }
 
 void Balancer::Impl::serve_connection(int fd) {
+  // Counted on the connection thread, like SocketServer: the count includes
+  // this connection before any of its requests is answered.
+  obs_connections->inc();
   // Same pipelined reader/writer split as SocketServer::serve_connection:
   // in-order reply queue, bounded by max_inflight. The difference is where
   // a reply comes from — a promise fulfilled by whichever backend reader
@@ -929,10 +886,7 @@ void Balancer::Impl::serve_connection(int fd) {
     return;
   }
 
-  auto count_protocol_error = [&] {
-    std::lock_guard slock(stats_mutex);
-    ++protocol_errors;
-  };
+  auto count_protocol_error = [&] { obs_protocol_errors->inc(); };
   // Writes one frame to a routed stream's backend under the same
   // generation-checked double-mutex discipline as dispatch(). Returns false
   // when the backend is gone (caller marks the route broken).
@@ -972,20 +926,16 @@ void Balancer::Impl::serve_connection(int fd) {
       replies.push(std::move(pending));
       return;
     }
-    if (wire.kind == serve::RequestKind::kHealth ||
-        wire.kind == serve::RequestKind::kStats) {
+    if (wire.kind == serve::RequestKind::kHealth) {
       // The balancer answers for itself — a client asking the fleet
       // endpoint for health wants the fleet front, not one worker.
-      const auto stats_now = own_wire_stats();
-      if (wire.kind == serve::RequestKind::kHealth) {
-        pending.immediate = is_binary
-                                ? serve::binary::format_health_frame(wire.id, stats_now)
-                                : serve::format_health_response(wire.id, stats_now);
-      } else {
-        pending.immediate = is_binary
-                                ? serve::binary::format_stats_frame(wire.id, stats_now)
-                                : serve::format_stats_response(wire.id, stats_now);
+      std::size_t outstanding = 0;
+      for (const auto& backend : backends) {
+        outstanding += backend->outstanding.load(std::memory_order_relaxed);
       }
+      const serve::WireHealth health{uptime_s(), outstanding};
+      pending.immediate = is_binary ? serve::binary::format_health_frame(wire.id, health)
+                                    : serve::format_health_response(wire.id, health);
       replies.push(std::move(pending));
       return;
     }
@@ -999,10 +949,6 @@ void Balancer::Impl::serve_connection(int fd) {
                               : serve::format_metrics_response(wire.id, merged);
       replies.push(std::move(pending));
       return;
-    }
-    {
-      std::lock_guard slock(stats_mutex);
-      ++requests;
     }
     obs_requests->inc();
     auto forwarded = std::make_shared<Pending>();
@@ -1038,6 +984,7 @@ void Balancer::Impl::serve_connection(int fd) {
     for (;;) {
       auto next = splitter.next();
       if (!next.ok()) {
+        count_protocol_error();
         PendingReply pending;
         pending.immediate = serve::format_error(0, next.error());
         replies.push(std::move(pending));
@@ -1101,10 +1048,6 @@ void Balancer::Impl::serve_connection(int fd) {
             replies.push(std::move(pending));
             break;
           }
-          {
-            std::lock_guard slock(stats_mutex);
-            ++requests;
-          }
           obs_requests->inc();
           auto pending_entry = std::make_shared<Pending>();
           pending_entry->streamed = true;
@@ -1139,7 +1082,6 @@ void Balancer::Impl::serve_connection(int fd) {
             fwd.deadline_ms = open.deadline_ms;
             if (write_to_backend(*backend, generation,
                                  serve::binary::format_source_begin(fwd))) {
-              backend->routed.fetch_add(1, std::memory_order_relaxed);
               route.backend = backend;
               route.backend_id = backend_id;
               route.generation = generation;
@@ -1279,12 +1221,7 @@ void Balancer::Impl::serve_connection(int fd) {
   }
   replies.close();
   writer.join();
-  {
-    std::lock_guard slock(stats_mutex);
-    peak_message_bytes = std::max<std::uint64_t>(peak_message_bytes,
-                                                 splitter.peak_buffered_bytes());
-    if (framing_fault) ++protocol_errors;
-  }
+  obs_peak_message_bytes->set_max(static_cast<double>(splitter.peak_buffered_bytes()));
 }
 
 // --- lifecycle ----------------------------------------------------------------
@@ -1339,24 +1276,7 @@ const std::string& Balancer::unix_path() const noexcept {
   return impl_->bound_unix_path;
 }
 
-Balancer::Stats Balancer::stats() const {
-  Stats out;
-  {
-    std::lock_guard lock(impl_->stats_mutex);
-    out.connections = impl_->connections;
-    out.requests = impl_->requests;
-    out.protocol_errors = impl_->protocol_errors;
-    out.redispatches = impl_->redispatches;
-    out.backend_failures = impl_->backend_failures;
-    out.reconnects = impl_->reconnects;
-    out.peak_message_bytes = impl_->peak_message_bytes;
-  }
-  out.routed.reserve(impl_->backends.size());
-  for (const auto& backend : impl_->backends) {
-    out.routed.push_back(backend->routed.load(std::memory_order_relaxed));
-  }
-  return out;
-}
+obs::Registry& Balancer::registry() const noexcept { return impl_->registry; }
 
 std::size_t Balancer::alive_backends() const {
   std::size_t alive = 0;

@@ -22,12 +22,13 @@
 // assert this at 1/2/4 workers). A maintenance thread reconnects dead
 // backends with bounded backoff and pings live ones with "health" requests.
 //
-// Balancer-addressed "health"/"stats" requests are answered by the balancer
-// itself (its own uptime and counters; queue_depth = requests currently
-// pending on backends). A "metrics" request aggregates: each live worker is
-// scraped over its backend connection, the flat name→value snapshots are
-// merged (counters sum; per-worker quantile/max expansions take the max),
-// and the balancer's own repro_balancer_* metrics ride along.
+// A balancer-addressed "health" request is answered by the balancer itself
+// (its own uptime; queue_depth = requests currently pending on backends).
+// A "metrics" request aggregates: each live worker is scraped over its
+// backend connection, the flat name→value snapshots are merged (counters
+// and gauges sum; per-worker quantile/max expansions take the max), and the
+// balancer's own repro_balancer_* metrics ride along. Those live in a
+// registry the balancer owns — registry() — and are its only counts.
 //
 // Traced requests (wire "trace") get balancer-side stages — balancer.parse,
 // balancer.dispatch, balancer.redispatch, balancer.reply — merged around
@@ -37,7 +38,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,12 +79,6 @@ struct BalancerOptions {
   /// pending requests re-dispatch). An idle backend connection never times
   /// out — quiet is not dead. Also bounds client-facing reply writes.
   std::chrono::milliseconds io_timeout{10000};
-  /// Registry the balancer's own repro_balancer_* counters register in.
-  /// Null = a registry PRIVATE to this balancer — deliberately not the
-  /// process-global one, so an in-process fleet (tests start workers and
-  /// the balancer in one process) never double-counts worker metrics when
-  /// a "metrics" scrape merges backend snapshots with the balancer's own.
-  obs::Registry* registry = nullptr;
   /// Pool behind every splitter input buffer (client connections and backend
   /// readers). Null = common::BufferPool::global(), the same pool the worker
   /// servers default to. Must outlive the balancer.
@@ -108,19 +102,9 @@ class Balancer {
   [[nodiscard]] int tcp_port() const noexcept;
   [[nodiscard]] const std::string& unix_path() const noexcept;
 
-  struct Stats {
-    std::uint64_t connections = 0;
-    std::uint64_t requests = 0;          // prediction requests forwarded
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t redispatches = 0;      // requests moved off a dead/draining worker
-    std::uint64_t backend_failures = 0;  // backend connections lost
-    std::uint64_t reconnects = 0;        // backend connections re-established
-    /// High-water mark, across finished client connections, of bytes
-    /// buffered for one message (same contract as SocketServer::Stats).
-    std::uint64_t peak_message_bytes = 0;
-    std::vector<std::uint64_t> routed;   // requests routed per backend
-  };
-  [[nodiscard]] Stats stats() const;
+  /// The balancer's own repro_balancer_* counters and gauges (workers'
+  /// series are not in it; a "metrics" scrape merges those in per request).
+  [[nodiscard]] obs::Registry& registry() const noexcept;
   /// Backends currently connected (tests; racy by nature).
   [[nodiscard]] std::size_t alive_backends() const;
 

@@ -43,7 +43,6 @@ std::size_t thread_slot() noexcept {
 }  // namespace detail
 
 void Histogram::observe_us(double us) noexcept {
-#if !defined(REPRO_OBS_DISABLED)
   if (!enabled()) return;
   if (!(us >= 0.0)) us = 0.0;  // also catches NaN
   // Bucket i covers [2^i, 2^(i+1)) µs; sub-µs samples land in bucket 0.
@@ -61,9 +60,6 @@ void Histogram::observe_us(double us) noexcept {
   while (ns > seen &&
          !max_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
   }
-#else
-  (void)us;
-#endif
 }
 
 double Histogram::bucket_upper_us(std::size_t i) noexcept {
@@ -200,11 +196,6 @@ std::string Registry::prometheus_text() const {
     out += '\n';
   }
   return out;
-}
-
-Registry& Registry::global() {
-  static Registry* instance = new Registry();  // leaked: outlives all users
-  return *instance;
 }
 
 }  // namespace repro::obs

@@ -3,12 +3,9 @@
 // p50/p95/p99/max are derivable at snapshot time without storing samples.
 // Hot-path cost is one relaxed atomic add per event; snapshots never stop
 // writers. Instruments are registered by name and owned by a Registry
-// (usually Registry::global()); callers cache the returned pointers at
-// construction so the name lookup happens once.
-//
-// Building with -DREPRO_OBS=OFF defines REPRO_OBS_DISABLED and compiles
-// every hot-path operation down to nothing — that build is the baseline
-// the obs-overhead perf case compares against (docs/OBSERVABILITY.md).
+// (each serve::Service owns one, and so does each fleet::Balancer); callers
+// cache the returned pointers at construction so the name lookup happens
+// once.
 #pragma once
 
 #include <atomic>
@@ -24,8 +21,8 @@
 
 namespace repro::obs {
 
-/// Global runtime kill switch. Defaults to on; the disabled path is one
-/// relaxed load per event. (REPRO_OBS_DISABLED removes even that.)
+/// Global runtime kill switch for counters and histograms. Defaults to on;
+/// the disabled path is one relaxed load per event.
 void set_enabled(bool on) noexcept;
 [[nodiscard]] bool enabled() noexcept;
 
@@ -43,13 +40,9 @@ class Counter {
   static constexpr std::size_t kShards = 8;
 
   void inc(std::uint64_t delta = 1) noexcept {
-#if !defined(REPRO_OBS_DISABLED)
     if (!enabled()) return;
     shards_[detail::thread_slot() & (kShards - 1)].cell.fetch_add(
         delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -68,12 +61,14 @@ class Counter {
 /// Last-value gauge (stored form; callback gauges live on the Registry).
 class Gauge {
  public:
-  void set(double v) noexcept {
-#if !defined(REPRO_OBS_DISABLED)
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
+  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
+  /// Raise the gauge to v if v is larger: a high-water mark that
+  /// concurrent writers can feed without a lock.
+  void set_max(double v) noexcept {
+    double seen = value_.load(std::memory_order_relaxed);
+    while (v > seen &&
+           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    }
   }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -141,9 +136,6 @@ class Registry {
   /// Prometheus text exposition: `name value` lines, histograms as
   /// cumulative `<name>_bucket{le="..."}` series plus _count/_sum.
   [[nodiscard]] std::string prometheus_text() const;
-
-  /// Process-wide default registry (what a null `registry` option means).
-  static Registry& global();
 
  private:
   struct Named {

@@ -380,26 +380,18 @@ common::Result<core::Predictor::KernelPrediction> SocketClient::read_response(
   return std::move(*response.value().prediction);
 }
 
-common::Result<WireStats> SocketClient::introspect(RequestKind kind) {
+common::Result<WireHealth> SocketClient::health() {
   WireRequest request;
   request.id = next_id_++;
-  request.kind = kind;
+  request.kind = RequestKind::kHealth;
   if (auto st = send_request(request); !st.ok()) return st.error();
   auto response = read_wire(request.id);
   if (!response.ok()) return response.error();
   if (response.value().error.has_value()) return *response.value().error;
-  if (!response.value().stats.has_value()) {
-    return common::parse_error("SocketClient: expected a health/stats response");
+  if (!response.value().health.has_value()) {
+    return common::parse_error("SocketClient: expected a health response");
   }
-  return *response.value().stats;
-}
-
-common::Result<WireStats> SocketClient::health() {
-  return introspect(RequestKind::kHealth);
-}
-
-common::Result<WireStats> SocketClient::stats() {
-  return introspect(RequestKind::kStats);
+  return *response.value().health;
 }
 
 common::Result<WireMetrics> SocketClient::metrics() {

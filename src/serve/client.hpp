@@ -129,14 +129,12 @@ class SocketClient {
     return last_trace_;
   }
 
-  /// Liveness probe: uptime_s and queue_depth only (the cheap form the
-  /// balancer pings workers with).
-  [[nodiscard]] common::Result<WireStats> health();
-  /// The server's full counter dump.
-  [[nodiscard]] common::Result<WireStats> stats();
-  /// The server's metrics-registry exposition: Prometheus-style text plus
-  /// the flat name→value map (a balancer answers with its own counters
-  /// merged with every backend's).
+  /// Liveness probe: uptime_s and queue_depth (what the balancer and the
+  /// supervisor ping workers with).
+  [[nodiscard]] common::Result<WireHealth> health();
+  /// The server's metrics-registry exposition — every counter it keeps:
+  /// Prometheus-style text plus the flat name→value map (a balancer answers
+  /// with its own counters merged with every backend's).
   [[nodiscard]] common::Result<WireMetrics> metrics();
 
   /// Relinquish ownership of the connected descriptor and disconnect this
@@ -166,7 +164,6 @@ class SocketClient {
       std::uint64_t expect_id);
   [[nodiscard]] common::Result<core::Predictor::KernelPrediction> round_trip(
       const WireRequest& request);
-  [[nodiscard]] common::Result<WireStats> introspect(RequestKind kind);
   /// Stamp the trace opt-in on a prediction request when enabled and the
   /// negotiated framing can carry it.
   void maybe_trace(WireRequest& request);

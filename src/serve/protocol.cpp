@@ -459,14 +459,12 @@ common::Result<WireRequest> parse_request(std::string_view line, common::Arena* 
       return common::parse_error("protocol: \"type\" must be a string");
     }
     const std::string_view t = type->as_string();
-    if (t == "health" || t == "stats" || t == "metrics") {
+    if (t == "health" || t == "metrics") {
       if (features != nullptr || source != nullptr) {
         return common::parse_error("protocol: \"" + std::string(t) +
                                    "\" requests carry no payload");
       }
-      request.kind = t == "health"  ? RequestKind::kHealth
-                     : t == "stats" ? RequestKind::kStats
-                                    : RequestKind::kMetrics;
+      request.kind = t == "health" ? RequestKind::kHealth : RequestKind::kMetrics;
       return request;
     }
     if (t == "hello") {
@@ -543,10 +541,6 @@ void format_request_into(std::string& out, const WireRequest& request) {
   append_u64(out, request.id);
   if (request.kind == RequestKind::kHealth) {
     out += ",\"type\":\"health\"}";
-    return;
-  }
-  if (request.kind == RequestKind::kStats) {
-    out += ",\"type\":\"stats\"}";
     return;
   }
   if (request.kind == RequestKind::kMetrics) {
@@ -663,52 +657,19 @@ std::string format_response(std::uint64_t id,
 }
 
 void format_health_response_into(std::string& out, std::uint64_t id,
-                                 const WireStats& stats) {
+                                 const WireHealth& health) {
   out += "{\"id\":";
   append_u64(out, id);
   out += ",\"health\":{\"status\":\"ok\",\"uptime_s\":";
-  append_double(out, stats.uptime_s);
+  append_double(out, health.uptime_s);
   out += ",\"queue_depth\":";
-  append_u64(out, stats.queue_depth);
+  append_u64(out, health.queue_depth);
   out += "}}";
 }
 
-std::string format_health_response(std::uint64_t id, const WireStats& stats) {
+std::string format_health_response(std::uint64_t id, const WireHealth& health) {
   std::string out;
-  format_health_response_into(out, id, stats);
-  return out;
-}
-
-void format_stats_response_into(std::string& out, std::uint64_t id,
-                                const WireStats& stats) {
-  out += "{\"id\":";
-  append_u64(out, id);
-  out += ",\"stats\":{\"uptime_s\":";
-  append_double(out, stats.uptime_s);
-  const std::pair<const char*, std::uint64_t> counters[] = {
-      {",\"queue_depth\":", stats.queue_depth},
-      {",\"requests\":", stats.requests},
-      {",\"source_requests\":", stats.source_requests},
-      {",\"batches\":", stats.batches},
-      {",\"connections\":", stats.connections},
-      {",\"protocol_errors\":", stats.protocol_errors},
-      {",\"cache_hits\":", stats.cache_hits},
-      {",\"cache_misses\":", stats.cache_misses},
-      {",\"shed\":", stats.shed},
-      {",\"deadline_exceeded\":", stats.deadline_exceeded},
-      {",\"streamed\":", stats.streamed},
-      {",\"peak_message_bytes\":", stats.peak_message_bytes},
-  };
-  for (const auto& [key, value] : counters) {
-    out += key;
-    append_u64(out, value);
-  }
-  out += "}}";
-}
-
-std::string format_stats_response(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_stats_response_into(out, id, stats);
+  format_health_response_into(out, id, health);
   return out;
 }
 
@@ -870,55 +831,30 @@ common::Result<WireResponse> parse_response(std::string_view line) {
     return response;
   }
 
-  // health / stats responses: the counters object under either key.
-  const JsonValue* health = doc.value().find("health");
-  const JsonValue* counters = health != nullptr ? health : doc.value().find("stats");
-  if (counters != nullptr) {
-    if (!counters->is_object()) {
-      return common::parse_error("protocol: \"health\"/\"stats\" must be an object");
+  if (const JsonValue* health = doc.value().find("health"); health != nullptr) {
+    if (!health->is_object()) {
+      return common::parse_error("protocol: \"health\" must be an object");
     }
-    if (health != nullptr) {
-      const JsonValue* status = counters->find("status");
-      if (status == nullptr || !status->is_string() || status->as_string() != "ok") {
-        return common::parse_error("protocol: health status missing or not ok");
-      }
+    const JsonValue* status = health->find("status");
+    if (status == nullptr || !status->is_string() || status->as_string() != "ok") {
+      return common::parse_error("protocol: health status missing or not ok");
     }
-    WireStats stats;
-    const auto read_counter = [&](const char* key,
-                                  std::uint64_t& out) -> common::Status {
-      const JsonValue* v = counters->find(key);
-      if (v == nullptr) return common::Status::Ok();  // absent = zero
-      const double d = v->is_number() ? v->as_number() : -1.0;
-      if (!(d >= 0) || d != std::floor(d) || d > 1.8e19) {
-        return common::parse_error(std::string("protocol: \"") + key +
-                                   "\" must be a non-negative integer");
-      }
-      out = static_cast<std::uint64_t>(d);
-      return common::Status::Ok();
-    };
-    if (const JsonValue* uptime = counters->find("uptime_s"); uptime != nullptr) {
+    WireHealth h;
+    if (const JsonValue* uptime = health->find("uptime_s"); uptime != nullptr) {
       if (!uptime->is_number() || !(uptime->as_number() >= 0)) {
         return common::parse_error("protocol: \"uptime_s\" must be non-negative");
       }
-      stats.uptime_s = uptime->as_number();
+      h.uptime_s = uptime->as_number();
     }
-    for (auto [key, field] : {std::pair<const char*, std::uint64_t*>
-                                  {"queue_depth", &stats.queue_depth},
-                              {"requests", &stats.requests},
-                              {"source_requests", &stats.source_requests},
-                              {"batches", &stats.batches},
-                              {"connections", &stats.connections},
-                              {"protocol_errors", &stats.protocol_errors},
-                              {"cache_hits", &stats.cache_hits},
-                              {"cache_misses", &stats.cache_misses},
-                              {"shed", &stats.shed},
-                              {"deadline_exceeded", &stats.deadline_exceeded},
-                              {"streamed", &stats.streamed},
-                              {"peak_message_bytes", &stats.peak_message_bytes}}) {
-      if (auto st = read_counter(key, *field); !st.ok()) return st.error();
+    if (const JsonValue* depth = health->find("queue_depth"); depth != nullptr) {
+      const double d = depth->is_number() ? depth->as_number() : -1.0;
+      if (!(d >= 0) || d != std::floor(d) || d > 1.8e19) {
+        return common::parse_error(
+            "protocol: \"queue_depth\" must be a non-negative integer");
+      }
+      h.queue_depth = static_cast<std::uint64_t>(d);
     }
-    response.stats = stats;
-    response.health = health != nullptr;
+    response.health = h;
     return response;
   }
 
@@ -983,17 +919,17 @@ namespace {
 
 // Request kind and response body codes on the wire. Fixed numbers, not the
 // enum's values: the enum may be reordered, the wire must not.
+// Kind and body 3 belonged to the retired "stats" dump: reserved, never
+// reused, so an old peer's stats frame can only ever fail to parse.
 constexpr std::uint8_t kWirePredict = 0;
 constexpr std::uint8_t kWirePredictSource = 1;
 constexpr std::uint8_t kWireHealth = 2;
-constexpr std::uint8_t kWireStats = 3;
 constexpr std::uint8_t kWireHello = 4;
 constexpr std::uint8_t kWireMetrics = 5;  // protocol >= 2
 
 constexpr std::uint8_t kBodyPrediction = 0;
 constexpr std::uint8_t kBodyError = 1;
 constexpr std::uint8_t kBodyHealth = 2;
-constexpr std::uint8_t kBodyStats = 3;
 constexpr std::uint8_t kBodyHello = 4;
 constexpr std::uint8_t kBodyMetrics = 5;  // protocol >= 2
 
@@ -1204,7 +1140,6 @@ void format_request_frame_into(std::string& out, const WireRequest& request) {
     case RequestKind::kPredict: kind = kWirePredict; break;
     case RequestKind::kPredictSource: kind = kWirePredictSource; break;
     case RequestKind::kHealth: kind = kWireHealth; break;
-    case RequestKind::kStats: kind = kWireStats; break;
     case RequestKind::kHello: kind = kWireHello; break;
     case RequestKind::kMetrics: kind = kWireMetrics; break;
   }
@@ -1234,7 +1169,6 @@ void format_request_frame_into(std::string& out, const WireRequest& request) {
       break;
     case RequestKind::kHello: put_u32(payload, request.max_protocol); break;
     case RequestKind::kHealth:
-    case RequestKind::kStats:
     case RequestKind::kMetrics: break;
   }
   end_frame(out, header);
@@ -1301,7 +1235,6 @@ common::Result<WireRequest> parse_request(std::string_view payload) {
       break;
     }
     case kWireHealth: request.kind = RequestKind::kHealth; break;
-    case kWireStats: request.kind = RequestKind::kStats; break;
     case kWireMetrics: request.kind = RequestKind::kMetrics; break;
     case kWireHello: {
       request.kind = RequestKind::kHello;
@@ -1362,45 +1295,18 @@ std::string format_error_frame(std::uint64_t id, const common::Error& error,
 }
 
 void format_health_frame_into(std::string& out, std::uint64_t id,
-                              const WireStats& stats) {
+                              const WireHealth& health) {
   const std::size_t header = begin_frame(out, FrameType::kResponse);
   put_u64(out, id);
   put_u8(out, kBodyHealth);
-  put_f64(out, stats.uptime_s);
-  put_u64(out, stats.queue_depth);
+  put_f64(out, health.uptime_s);
+  put_u64(out, health.queue_depth);
   end_frame(out, header);
 }
 
-std::string format_health_frame(std::uint64_t id, const WireStats& stats) {
+std::string format_health_frame(std::uint64_t id, const WireHealth& health) {
   std::string out;
-  format_health_frame_into(out, id, stats);
-  return out;
-}
-
-void format_stats_frame_into(std::string& out, std::uint64_t id,
-                             const WireStats& stats) {
-  const std::size_t header = begin_frame(out, FrameType::kResponse);
-  put_u64(out, id);
-  put_u8(out, kBodyStats);
-  put_f64(out, stats.uptime_s);
-  put_u64(out, stats.queue_depth);
-  put_u64(out, stats.requests);
-  put_u64(out, stats.source_requests);
-  put_u64(out, stats.batches);
-  put_u64(out, stats.connections);
-  put_u64(out, stats.protocol_errors);
-  put_u64(out, stats.cache_hits);
-  put_u64(out, stats.cache_misses);
-  put_u64(out, stats.shed);
-  put_u64(out, stats.deadline_exceeded);
-  put_u64(out, stats.streamed);
-  put_u64(out, stats.peak_message_bytes);
-  end_frame(out, header);
-}
-
-std::string format_stats_frame(std::uint64_t id, const WireStats& stats) {
-  std::string out;
-  format_stats_frame_into(out, id, stats);
+  format_health_frame_into(out, id, health);
   return out;
 }
 
@@ -1514,39 +1420,18 @@ common::Result<WireResponse> parse_response(std::string_view payload) {
       }
       break;
     }
-    case kBodyHealth:
-    case kBodyStats: {
-      WireStats stats;
+    case kBodyHealth: {
+      WireHealth health;
       auto uptime = reader.f64();
       if (!uptime.ok()) return uptime.error();
       if (!(uptime.value() >= 0)) {
         return common::parse_error("binary: uptime_s must be non-negative");
       }
-      stats.uptime_s = uptime.value();
-      std::uint64_t* fields_health[] = {&stats.queue_depth};
-      std::uint64_t* fields_stats[] = {
-          &stats.queue_depth,  &stats.requests, &stats.source_requests,
-          &stats.batches,      &stats.connections, &stats.protocol_errors,
-          &stats.cache_hits,   &stats.cache_misses, &stats.shed,
-          &stats.deadline_exceeded, &stats.streamed};
-      const bool is_health = body.value() == kBodyHealth;
-      auto* fields = is_health ? fields_health : fields_stats;
-      const std::size_t n = is_health ? std::size(fields_health) : std::size(fields_stats);
-      for (std::size_t i = 0; i < n; ++i) {
-        auto v = reader.u64();
-        if (!v.ok()) return v.error();
-        *fields[i] = v.value();
-      }
-      // Trailing fields appended after protocol 1 — absent means zero, the
-      // binary analogue of the JSON parser's absent-counter rule, so a new
-      // client still reads an old server's stats frame.
-      if (!is_health && !reader.done()) {
-        auto v = reader.u64();
-        if (!v.ok()) return v.error();
-        stats.peak_message_bytes = v.value();
-      }
-      response.stats = stats;
-      response.health = is_health;
+      health.uptime_s = uptime.value();
+      auto depth = reader.u64();
+      if (!depth.ok()) return depth.error();
+      health.queue_depth = depth.value();
+      response.health = health;
       break;
     }
     case kBodyHello: {

@@ -11,20 +11,20 @@
 //   {"id": 8, "type": "predict_source",
 //    "source": "kernel void f(global float* x) { ... }"}
 //
-// Three introspection request types, payload-free, answered on the
+// Two introspection request types, payload-free, answered on the
 // connection thread (they never enter the batching pipeline): "health" is
-// the cheap liveness probe (the fleet balancer pings it), "stats" the full
-// counter dump, and "metrics" the Prometheus-style registry exposition
-// (docs/OBSERVABILITY.md). Any request may also carry a numeric "trace"
-// member — a trace id asking every hop to stamp per-stage timings onto the
-// reply:
+// the two-field liveness probe (the fleet balancer and supervisor ping it),
+// and "metrics" the Prometheus-style exposition of the server's metrics
+// registry — every counter the server keeps (docs/OBSERVABILITY.md). The
+// retired "stats" type is answered with a parse_error like any unknown
+// type. Any request may also carry a numeric "trace" member — a trace id
+// asking every hop to stamp per-stage timings onto the reply:
 //
 //   {"id": 9, "type": "health"}
 //     → {"id": 9, "health": {"status": "ok", "uptime_s": 12.5, "queue_depth": 0}}
-//   {"id": 10, "type": "stats"}
-//     → {"id": 10, "stats": {"uptime_s": ..., "queue_depth": ..., "requests": ...,
-//        "source_requests": ..., "batches": ..., "connections": ...,
-//        "protocol_errors": ..., "cache_hits": ..., "cache_misses": ...}}
+//   {"id": 10, "type": "metrics"}
+//     → {"id": 10, "metrics": {"text": "repro_requests_total 8\n...",
+//        "values": {"repro_requests_total": 8, ...}}}
 //
 // "type" may be omitted for backward compatibility — the payload member
 // then decides — but when present it must match the payload. Connections
@@ -175,13 +175,12 @@ class JsonValue {
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// What a request line asks for. The two predict kinds are inferred from
-/// the payload (the "type" member is optional for them); health, stats,
-/// metrics and hello must be named explicitly and carry no payload.
+/// the payload (the "type" member is optional for them); health, metrics
+/// and hello must be named explicitly and carry no payload.
 enum class RequestKind {
   kPredict,
   kPredictSource,
   kHealth,
-  kStats,
   kHello,
   kMetrics,
 };
@@ -194,7 +193,7 @@ struct WireRequest {
   std::string kernel;  // optional display name; defaults applied server-side
   /// For the predict kinds, exactly one of the two is set after a
   /// successful parse: "predict" requests carry features, "predict_source"
-  /// requests carry source. Both empty for health/stats.
+  /// requests carry source. Both empty for health/metrics/hello.
   std::optional<std::array<double, clfront::kNumFeatures>> features;  // raw counts
   std::optional<std::string> source;                                  // OpenCL-C
   /// Optional latency budget in milliseconds, relative to when the server
@@ -216,24 +215,13 @@ struct WireRequest {
   [[nodiscard]] common::Result<clfront::StaticFeatures> to_features() const;
 };
 
-/// The counters a "stats" (or, in its short form, "health") response
-/// carries. One struct serves both framings: health replies fill only
-/// uptime_s and queue_depth, stats replies everything their server knows
-/// (cache_* stay zero when the server has no model cache wired in).
-struct WireStats {
+/// A "health" response: the liveness probe's two fields. Counters are not
+/// here — they live in the metrics registry and travel as "metrics".
+struct WireHealth {
   double uptime_s = 0.0;
-  std::uint64_t queue_depth = 0;  // admission-queue backlog right now
-  std::uint64_t requests = 0;
-  std::uint64_t source_requests = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t shed = 0;               // rejected at admission by load shedding
-  std::uint64_t deadline_exceeded = 0;  // expired before prediction
-  std::uint64_t streamed = 0;           // requests that arrived as chunk streams
-  std::uint64_t peak_message_bytes = 0;  // largest buffered wire message seen
+  /// Admission-queue backlog right now (a balancer: requests pending on
+  /// its backends).
+  std::uint64_t queue_depth = 0;
 };
 
 /// A "metrics" response: the Prometheus text exposition plus the flat
@@ -247,12 +235,9 @@ struct WireMetrics {
 
 struct WireResponse {
   std::uint64_t id = 0;
-  /// Exactly one of prediction/stats/metrics/error/protocol is set.
+  /// Exactly one of prediction/health/metrics/error/protocol is set.
   std::optional<core::Predictor::KernelPrediction> prediction;
-  std::optional<WireStats> stats;  // health and stats responses
-  /// True when `stats` came from the short "health" framing (uptime_s and
-  /// queue_depth only) rather than the full "stats" counter dump.
-  bool health = false;
+  std::optional<WireHealth> health;    // health responses
   std::optional<WireMetrics> metrics;  // metrics responses
   std::optional<common::Error> error;
   std::optional<std::uint32_t> protocol;  // hello responses
@@ -289,12 +274,9 @@ void format_error_into(std::string& out, std::uint64_t id, const common::Error& 
                                        const obs::Trace* trace = nullptr);
 /// {"id":…,"health":{"status":"ok","uptime_s":…,"queue_depth":…}}
 void format_health_response_into(std::string& out, std::uint64_t id,
-                                 const WireStats& stats);
-[[nodiscard]] std::string format_health_response(std::uint64_t id, const WireStats& stats);
-/// {"id":…,"stats":{…all WireStats fields…}}
-void format_stats_response_into(std::string& out, std::uint64_t id,
-                                const WireStats& stats);
-[[nodiscard]] std::string format_stats_response(std::uint64_t id, const WireStats& stats);
+                                 const WireHealth& health);
+[[nodiscard]] std::string format_health_response(std::uint64_t id,
+                                                 const WireHealth& health);
 /// {"id":…,"metrics":{"text":…,"values":{…name:number…}}}
 void format_metrics_response_into(std::string& out, std::uint64_t id,
                                   const WireMetrics& metrics);
@@ -374,10 +356,8 @@ void format_error_frame_into(std::string& out, std::uint64_t id,
                                              const common::Error& error,
                                              const obs::Trace* trace = nullptr);
 void format_health_frame_into(std::string& out, std::uint64_t id,
-                              const WireStats& stats);
-[[nodiscard]] std::string format_health_frame(std::uint64_t id, const WireStats& stats);
-void format_stats_frame_into(std::string& out, std::uint64_t id, const WireStats& stats);
-[[nodiscard]] std::string format_stats_frame(std::uint64_t id, const WireStats& stats);
+                              const WireHealth& health);
+[[nodiscard]] std::string format_health_frame(std::uint64_t id, const WireHealth& health);
 void format_metrics_frame_into(std::string& out, std::uint64_t id,
                                const WireMetrics& metrics);
 [[nodiscard]] std::string format_metrics_frame(std::uint64_t id,

@@ -59,23 +59,22 @@ struct SocketServer::Impl {
   std::atomic<bool> stopping{false};
   std::once_flag stop_once;
 
-  mutable std::mutex stats_mutex;
-  Stats stats;
-  /// High-water mark of per-connection arena usage across finished
-  /// connections — the repro_arena_bytes gauge.
-  std::uint64_t peak_arena_bytes = 0;
-
-  // obs instruments, resolved once in start() (after options are known).
-  obs::Registry* registry = nullptr;
+  // obs instruments in service->registry(), resolved once in start().
   obs::Counter* obs_connections = nullptr;
   obs::Counter* obs_protocol_errors = nullptr;
+  /// High-water marks across finished connections: bytes buffered for one
+  /// message (the bound the streaming contract asserts — a chunked
+  /// predict_source never buffers more than a frame at a time) and
+  /// per-connection parse-arena usage.
+  obs::Gauge* obs_peak_message_bytes = nullptr;
+  obs::Gauge* obs_arena_bytes = nullptr;
   // Buffer pool behind splitter input and reply output buffers.
   common::BufferPool* pool = nullptr;
 
   void accept_loop();
   void serve_connection(int fd);
   void reap_finished_locked();
-  [[nodiscard]] WireStats wire_stats();
+  [[nodiscard]] double uptime_s() const;
   [[nodiscard]] WireMetrics wire_metrics();
 };
 
@@ -86,12 +85,11 @@ common::Result<std::unique_ptr<SocketServer>> SocketServer::start(
   std::unique_ptr<SocketServer> server(new SocketServer());
   server->impl_->service = &service;
   server->impl_->options = options;
-  server->impl_->registry = options.registry != nullptr ? options.registry
-                                                        : &obs::Registry::global();
-  server->impl_->obs_connections =
-      server->impl_->registry->counter("repro_connections_total");
-  server->impl_->obs_protocol_errors =
-      server->impl_->registry->counter("repro_protocol_errors_total");
+  obs::Registry& registry = service.registry();
+  server->impl_->obs_connections = registry.counter("repro_connections_total");
+  server->impl_->obs_protocol_errors = registry.counter("repro_protocol_errors_total");
+  server->impl_->obs_peak_message_bytes = registry.gauge("repro_peak_message_bytes");
+  server->impl_->obs_arena_bytes = registry.gauge("repro_arena_bytes");
   server->impl_->pool = options.buffer_pool != nullptr
                             ? options.buffer_pool
                             : &common::BufferPool::global();
@@ -216,11 +214,7 @@ void SocketServer::Impl::accept_loop() {
       ::close(fd);
       common::log_warn() << "SocketServer: cannot start a connection thread ("
                          << e.what() << "); connection closed";
-      continue;
     }
-    obs_connections->inc();
-    std::lock_guard slock(stats_mutex);
-    ++stats.connections;
   }
 }
 
@@ -237,6 +231,9 @@ void SocketServer::Impl::reap_finished_locked() {
 }
 
 void SocketServer::Impl::serve_connection(int fd) {
+  // Counted here rather than in the acceptor, so the count already includes
+  // this connection when its first request (say, a metrics scrape) is read.
+  obs_connections->inc();
   // Pipelined request handling: the reader below decodes and submits
   // request N+1 while N's batch is still in flight; this writer drains an
   // in-order reply queue, so responses always come back in request order.
@@ -318,11 +315,7 @@ void SocketServer::Impl::serve_connection(int fd) {
     return;
   }
 
-  auto count_protocol_error = [&] {
-    obs_protocol_errors->inc();
-    std::lock_guard slock(stats_mutex);
-    ++stats.protocol_errors;
-  };
+  auto count_protocol_error = [&] { obs_protocol_errors->inc(); };
   // The wire deadline is relative to the moment the server takes custody of
   // the request (parses its frame). From here on it is an absolute
   // steady_clock point, immune to queueing delays.
@@ -341,10 +334,6 @@ void SocketServer::Impl::serve_connection(int fd) {
     PendingReply pending;
     pending.binary = is_binary;
     pending.id = wire.id;
-    {
-      std::lock_guard slock(stats_mutex);
-      ++stats.requests;
-    }
     switch (wire.kind) {
       case RequestKind::kHello: {
         // Per-connection negotiation: the reply is the min of the client's
@@ -358,26 +347,18 @@ void SocketServer::Impl::serve_connection(int fd) {
                                 : format_hello_response(wire.id, negotiated);
         break;
       }
-      case RequestKind::kHealth:
-      case RequestKind::kStats: {
+      case RequestKind::kHealth: {
         // Introspection is answered right here on the connection thread —
         // a health ping must not queue behind a full admission queue (its
         // whole point is reporting that backlog).
-        const auto now_stats = wire_stats();
-        if (wire.kind == RequestKind::kHealth) {
-          pending.immediate = is_binary
-                                  ? binary::format_health_frame(wire.id, now_stats)
-                                  : format_health_response(wire.id, now_stats);
-        } else {
-          pending.immediate = is_binary
-                                  ? binary::format_stats_frame(wire.id, now_stats)
-                                  : format_stats_response(wire.id, now_stats);
-        }
+        const WireHealth health{uptime_s(), service->queue_depth()};
+        pending.immediate = is_binary ? binary::format_health_frame(wire.id, health)
+                                      : format_health_response(wire.id, health);
         break;
       }
       case RequestKind::kMetrics: {
-        // Same inline contract as health/stats: a registry snapshot never
-        // waits behind the admission queue.
+        // Same inline contract as health: a registry snapshot never waits
+        // behind the admission queue.
         const WireMetrics metrics = wire_metrics();
         pending.immediate = is_binary
                                 ? binary::format_metrics_frame(wire.id, metrics)
@@ -455,6 +436,7 @@ void SocketServer::Impl::serve_connection(int fd) {
         // type): there is no resync point, so answer once and close. JSON
         // framing for the answer — a peer confused enough to trip this may
         // not speak binary at all.
+        count_protocol_error();
         PendingReply pending;
         pending.immediate = format_error(0, next.error());
         replies.push(std::move(pending));
@@ -531,10 +513,6 @@ void SocketServer::Impl::serve_connection(int fd) {
             replies.push(std::move(pending));
             break;
           }
-          {
-            std::lock_guard slock(stats_mutex);
-            ++stats.requests;
-          }
           streams.emplace(open.id,
                           service->begin_stream(std::move(open.kernel),
                                                 deadline_from(open.deadline_ms),
@@ -609,69 +587,31 @@ void SocketServer::Impl::serve_connection(int fd) {
   // connection — their requests were never admitted, so nothing leaks.
   replies.close();
   writer.join();
-  {
-    std::lock_guard slock(stats_mutex);
-    if (framing_fault) ++stats.protocol_errors;
-    stats.peak_message_bytes = std::max<std::uint64_t>(
-        stats.peak_message_bytes, splitter.peak_buffered_bytes());
-    peak_arena_bytes =
-        std::max<std::uint64_t>(peak_arena_bytes, arena.peak_used_bytes());
-  }
+  obs_peak_message_bytes->set_max(static_cast<double>(splitter.peak_buffered_bytes()));
+  obs_arena_bytes->set_max(static_cast<double>(arena.peak_used_bytes()));
 }
 
-WireStats SocketServer::Impl::wire_stats() {
-  WireStats wire;
-  wire.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                started)
-                      .count();
-  wire.queue_depth = service->queue_depth();
-  const auto service_stats = service->stats();
-  wire.requests = service_stats.requests;
-  wire.source_requests = service_stats.source_requests;
-  wire.batches = service_stats.batches;
-  wire.shed = service_stats.shed;
-  wire.deadline_exceeded = service_stats.deadline_exceeded;
-  wire.streamed = service_stats.streamed;
-  {
-    std::lock_guard lock(stats_mutex);
-    wire.connections = stats.connections;
-    wire.protocol_errors = stats.protocol_errors;
-    wire.peak_message_bytes = stats.peak_message_bytes;
-  }
-  if (options.model_cache != nullptr) {
-    const auto cache_stats = options.model_cache->stats();
-    wire.cache_hits = cache_stats.disk_hits;
-    wire.cache_misses = cache_stats.misses;
-  }
-  return wire;
+double SocketServer::Impl::uptime_s() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+      .count();
 }
 
 WireMetrics SocketServer::Impl::wire_metrics() {
   // Point-in-time gauges are set at scrape time (never from a hot path, so
   // there is no dangling-callback hazard when the server outlives a scrape).
-  registry->gauge("repro_uptime_seconds")
-      ->set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          started)
-                .count());
-  registry->gauge("repro_queue_depth")
-      ->set(static_cast<double>(service->queue_depth()));
+  obs::Registry& registry = service->registry();
+  registry.gauge("repro_uptime_seconds")->set(uptime_s());
+  registry.gauge("repro_queue_depth")->set(static_cast<double>(service->queue_depth()));
   if (options.model_cache != nullptr) {
     const auto cache_stats = options.model_cache->stats();
-    registry->gauge("repro_cache_hits")
-        ->set(static_cast<double>(cache_stats.disk_hits));
-    registry->gauge("repro_cache_misses")
-        ->set(static_cast<double>(cache_stats.misses));
+    registry.gauge("repro_cache_hits")->set(static_cast<double>(cache_stats.disk_hits));
+    registry.gauge("repro_cache_misses")->set(static_cast<double>(cache_stats.misses));
   }
-  {
-    std::lock_guard lock(stats_mutex);
-    registry->gauge("repro_arena_bytes")
-        ->set(static_cast<double>(peak_arena_bytes));
-  }
-  registry->gauge("repro_pool_reuse_total")
+  registry.gauge("repro_pool_reuse_total")
       ->set(static_cast<double>(pool->stats().reuses));
   WireMetrics metrics;
-  metrics.values = registry->snapshot_values();
-  metrics.text = registry->prometheus_text();
+  metrics.values = registry.snapshot_values();
+  metrics.text = registry.prometheus_text();
   return metrics;
 }
 
@@ -714,11 +654,6 @@ int SocketServer::tcp_port() const noexcept { return impl_->bound_tcp_port; }
 
 const std::string& SocketServer::unix_path() const noexcept {
   return impl_->bound_unix_path;
-}
-
-SocketServer::Stats SocketServer::stats() const {
-  std::lock_guard lock(impl_->stats_mutex);
-  return impl_->stats;
 }
 
 }  // namespace repro::serve

@@ -15,10 +15,13 @@
 // Service; predict_source requests ship raw bytes and featurize on the
 // worker shards. stop() is graceful: the listener closes, open connections
 // are shut down, in-flight requests are still answered.
+//
+// The server counts into service.registry() — connections, protocol
+// errors, and the repro_peak_message_bytes / repro_arena_bytes high-water
+// marks — so one "metrics" scrape shows the whole worker.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -54,7 +57,7 @@ struct ServerOptions {
   /// flight (submitted, response not yet written) before the reader stops
   /// decoding — backpressure against a client that streams without reading.
   std::size_t max_inflight = 64;
-  /// When set, "stats" responses include this cache's hit/miss counters
+  /// When set, "metrics" replies include this cache's hit/miss gauges
   /// (the cache the service was created against). Must outlive the server.
   const ModelCache* model_cache = nullptr;
   /// Per-operation progress timeout on response writes: a client that stops
@@ -62,10 +65,6 @@ struct ServerOptions {
   /// queued behind it) forever. Reads deliberately stay unbounded — idle
   /// persistent connections (the balancer's backend pool) are legitimate.
   std::chrono::milliseconds write_timeout{30000};
-  /// Registry the server's own counters join and "metrics" requests expose.
-  /// Null = obs::Registry::global(). Should match the Service's registry so
-  /// one scrape shows the whole worker.
-  obs::Registry* registry = nullptr;
   /// Pool behind every connection's splitter input buffer and reply output
   /// buffer. Null = common::BufferPool::global() — one process-wide pool the
   /// server, balancer, and clients all ride. Must outlive the server.
@@ -91,17 +90,6 @@ class SocketServer {
   [[nodiscard]] int tcp_port() const noexcept;
   /// The Unix socket path, empty for TCP.
   [[nodiscard]] const std::string& unix_path() const noexcept;
-
-  struct Stats {
-    std::uint64_t connections = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t protocol_errors = 0;
-    /// High-water mark, across finished connections, of bytes buffered for
-    /// one message — the observable bound the streaming contract asserts
-    /// (a chunked predict_source never buffers more than a frame at a time).
-    std::uint64_t peak_message_bytes = 0;
-  };
-  [[nodiscard]] Stats stats() const;
 
  private:
   SocketServer();

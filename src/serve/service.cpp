@@ -29,21 +29,22 @@ common::Error deadline_error() {
 
 struct Service::Impl {
   explicit Impl(const ServiceOptions& options)
-      : admission(options.queue_capacity) {
+      : registry(options.registry != nullptr ? *options.registry : owned_registry),
+        admission(options.queue_capacity) {
     // One name lookup each at construction; the hot paths below touch only
     // the cached pointers (one relaxed atomic per event).
-    obs::Registry& reg =
-        options.registry != nullptr ? *options.registry : obs::Registry::global();
-    obs_requests = reg.counter("repro_requests_total");
-    obs_source_requests = reg.counter("repro_source_requests_total");
-    obs_rejected = reg.counter("repro_rejected_total");
-    obs_batches = reg.counter("repro_batches_total");
-    obs_shed = reg.counter("repro_shed_total");
-    obs_deadline_exceeded = reg.counter("repro_deadline_exceeded_total");
-    obs_streamed = reg.counter("repro_streamed_total");
-    obs_latency = reg.histogram("repro_request_latency_us");
+    obs_requests = registry.counter("repro_requests_total");
+    obs_source_requests = registry.counter("repro_source_requests_total");
+    obs_rejected = registry.counter("repro_rejected_total");
+    obs_batches = registry.counter("repro_batches_total");
+    obs_shed = registry.counter("repro_shed_total");
+    obs_deadline_exceeded = registry.counter("repro_deadline_exceeded_total");
+    obs_streamed = registry.counter("repro_streamed_total");
+    obs_latency = registry.histogram("repro_request_latency_us");
   }
 
+  obs::Registry owned_registry;  // unused when ServiceOptions::registry is set
+  obs::Registry& registry;
   common::BoundedQueue<Request> admission;
   /// Retired batch vectors (emptied, capacity intact) waiting for reuse —
   /// shard loops give back, the scheduler takes. Bounded by
@@ -59,10 +60,10 @@ struct Service::Impl {
   std::atomic<std::uint64_t> next_seq{0};
   std::atomic<bool> stopped{false};
   std::once_flag stop_once;
-  mutable std::mutex stats_mutex;
-  Stats stats;
-  // EWMA of per-request service time (µs), fed by the shard workers.
-  // 0 until the first batch completes — shedding never fires cold.
+  // EWMA of per-request service time (µs), fed by the shard workers and
+  // read by admission when shedding is on. 0 until the first batch
+  // completes — shedding never fires cold.
+  std::mutex ewma_mutex;
   double ewma_service_us = 0.0;
 
   /// Pop a retired batch vector (empty, capacity intact) or a fresh one.
@@ -263,8 +264,6 @@ std::future<Service::Response> Service::enqueue(Request request, bool is_source,
   if (request.deadline.has_value() && *request.deadline <= now) {
     request.promise.set_value(deadline_error());
     impl_->obs_deadline_exceeded->inc();
-    std::lock_guard lock(impl_->stats_mutex);
-    ++impl_->stats.deadline_exceeded;
     return future;
   }
   // Load shedding: refuse work that would only be served stale. The
@@ -274,7 +273,7 @@ std::future<Service::Response> Service::enqueue(Request request, bool is_source,
   if (options_.max_queue_delay.count() > 0) {
     double est_us = 0.0;
     {
-      std::lock_guard lock(impl_->stats_mutex);
+      std::lock_guard lock(impl_->ewma_mutex);
       est_us = impl_->ewma_service_us;
     }
     est_us *= static_cast<double>(impl_->admission.size()) /
@@ -290,8 +289,6 @@ std::future<Service::Response> Service::enqueue(Request request, bool is_source,
           "serve::Service: overloaded (estimated queue delay " +
           std::to_string(static_cast<long>(est_us)) + "us)"));
       impl_->obs_shed->inc();
-      std::lock_guard lock(impl_->stats_mutex);
-      ++impl_->stats.shed;
       return future;
     }
   }
@@ -308,18 +305,12 @@ std::future<Service::Response> Service::enqueue(Request request, bool is_source,
     // shutdown error so the future above still answers.
     request.promise.set_value(unavailable_error());
     impl_->obs_rejected->inc();
-    std::lock_guard lock(impl_->stats_mutex);
-    ++impl_->stats.rejected;
     return future;
   }
   obs::stamp(trace, "admission");
   impl_->obs_requests->inc();
   if (is_source) impl_->obs_source_requests->inc();
   if (is_streamed) impl_->obs_streamed->inc();
-  std::lock_guard lock(impl_->stats_mutex);
-  ++impl_->stats.requests;
-  if (is_source) ++impl_->stats.source_requests;
-  if (is_streamed) ++impl_->stats.streamed;
   return future;
 }
 
@@ -372,12 +363,6 @@ void Service::scheduler_loop() {
               [](const Request& a, const Request& b) { return a.seq < b.seq; });
 
     impl_->obs_batches->inc();
-    {
-      std::lock_guard lock(impl_->stats_mutex);
-      ++impl_->stats.batches;
-      impl_->stats.max_batch_seen =
-          std::max<std::uint64_t>(impl_->stats.max_batch_seen, batch.size());
-    }
 
     // Round-robin dispatch. push() only fails when the shard queue is
     // closed, which stop() does strictly after this loop exits — but if
@@ -444,11 +429,7 @@ void Service::shard_loop(std::size_t shard_index) {
         request.promise.set_value(extracted.error());
       }
     }
-    if (expired > 0) {
-      impl_->obs_deadline_exceeded->inc(expired);
-      std::lock_guard lock(impl_->stats_mutex);
-      impl_->stats.deadline_exceeded += expired;
-    }
+    if (expired > 0) impl_->obs_deadline_exceeded->inc(expired);
     if (features.empty()) {
       impl_->give_spare(std::move(*batch), options_.spare_batches);
       continue;
@@ -468,7 +449,7 @@ void Service::shard_loop(std::size_t shard_index) {
             .count();
     const double sample = elapsed_us / static_cast<double>(features.size());
     {
-      std::lock_guard lock(impl_->stats_mutex);
+      std::lock_guard lock(impl_->ewma_mutex);
       impl_->ewma_service_us = impl_->ewma_service_us == 0.0
                                    ? sample
                                    : 0.8 * impl_->ewma_service_us + 0.2 * sample;
@@ -498,9 +479,18 @@ void Service::shard_loop(std::size_t shard_index) {
 }
 
 Service::Stats Service::stats() const {
-  std::lock_guard lock(impl_->stats_mutex);
-  return impl_->stats;
+  Stats stats;
+  stats.requests = impl_->obs_requests->value();
+  stats.source_requests = impl_->obs_source_requests->value();
+  stats.rejected = impl_->obs_rejected->value();
+  stats.batches = impl_->obs_batches->value();
+  stats.shed = impl_->obs_shed->value();
+  stats.deadline_exceeded = impl_->obs_deadline_exceeded->value();
+  stats.streamed = impl_->obs_streamed->value();
+  return stats;
 }
+
+obs::Registry& Service::registry() const noexcept { return impl_->registry; }
 
 std::size_t Service::queue_depth() const { return impl_->admission.size(); }
 

@@ -64,9 +64,9 @@ struct ServiceOptions {
   /// bound, or the request's own deadline. Zero disables shedding (the
   /// bounded queue's blocking backpressure is then the only limit).
   std::chrono::microseconds max_queue_delay{0};
-  /// Metrics registry the service's counters/histograms register in.
-  /// Null = the process-global registry (obs::Registry::global()); tests
-  /// that assert exact counter values pass their own.
+  /// Metrics registry the service's counters/histograms register in — and
+  /// that a SocketServer over this service counts into. Null = a registry
+  /// the Service owns, so two services in one process never share counts.
   obs::Registry* registry = nullptr;
   /// How many retired batch vectors the scheduler keeps for reuse. Served
   /// batches return their (emptied, capacity-keeping) vector to a free list
@@ -186,17 +186,21 @@ class Service {
   /// Idempotent; also run by the destructor.
   void stop();
 
+  /// A snapshot of the service's registry counters (repro_*_total), so
+  /// in-process callers need not look them up by name.
   struct Stats {
     std::uint64_t requests = 0;         // admitted (both kinds)
     std::uint64_t source_requests = 0;  // admitted submit_source requests
     std::uint64_t rejected = 0;         // submit() after stop
     std::uint64_t batches = 0;          // predict_batch calls issued
-    std::uint64_t max_batch_seen = 0;
     std::uint64_t shed = 0;               // refused at admission by load shedding
     std::uint64_t deadline_exceeded = 0;  // expired before prediction
     std::uint64_t streamed = 0;           // admitted via SourceStream::finish
   };
   [[nodiscard]] Stats stats() const;
+  /// Where this service — and any SocketServer over it — counts: the
+  /// registry named by ServiceOptions::registry, or the service's own.
+  [[nodiscard]] obs::Registry& registry() const noexcept;
   /// Requests admitted but not yet pulled into a batch — the backlog a
   /// "health" wire response reports as queue_depth.
   [[nodiscard]] std::size_t queue_depth() const;

@@ -111,20 +111,14 @@ struct InProcWorker {
   std::unique_ptr<rs::Service> service;
   std::unique_ptr<rs::SocketServer> server;
 
-  /// In-process workers share this test binary, so a metrics test must give
-  /// each worker its OWN registry — with the shared global one, N workers
-  /// would each expose the same accumulated counters and the balancer's
-  /// sum-merge would multiply them (docs/OBSERVABILITY.md).
-  static InProcWorker start(const std::string& unix_path = {},
-                            repro::obs::Registry* registry = nullptr) {
+  /// Each worker's Service owns its registry, so in-process workers never
+  /// share counters.
+  static InProcWorker start(const std::string& unix_path = {}) {
     InProcWorker worker;
-    rs::ServiceOptions service_options;
-    service_options.registry = registry;
-    auto service = rs::Service::from_model(trained_model(), service_options);
+    auto service = rs::Service::from_model(trained_model(), rs::ServiceOptions{});
     EXPECT_TRUE(service.ok());
     worker.service = std::move(service).take();
     rs::ServerOptions options;
-    options.registry = registry;
     if (unix_path.empty()) {
       options.tcp_port = 0;
     } else {
@@ -145,7 +139,43 @@ struct InProcWorker {
     server->stop();
     service->stop();
   }
+
+  /// What this worker admitted: its repro_requests_total.
+  [[nodiscard]] std::uint64_t requests() const {
+    return service->registry().counter("repro_requests_total")->value();
+  }
 };
+
+/// One counter from the balancer's own registry.
+std::uint64_t balancer_count(const rf::Balancer& balancer, const char* name) {
+  return balancer.registry().counter(name)->value();
+}
+
+/// Writes `wire` on a fresh loopback TCP connection, half-closes it, and
+/// returns every byte the peer sends before its EOF.
+std::string exchange_raw(int port, const std::string& wire) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  std::string received;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(wire.size())) {
+    ::shutdown(fd, SHUT_WR);
+    timeval tv{};
+    tv.tv_sec = 30;  // a peer that never closes fails instead of hanging
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char chunk[4096];
+    for (ssize_t n = 0; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return received;
+}
 
 std::vector<rco::Predictor::SourceRequest> source_burst(std::size_t n) {
   return std::vector<rco::Predictor::SourceRequest>(n, {kSourceKernel, ""});
@@ -288,17 +318,20 @@ TEST(BalancerTest, BitIdenticalToDirectPredictorAtEveryBackendCount) {
     EXPECT_TRUE(bitwise_equal(after.value().pareto, source_reference.value().pareto));
 
     balancer.value()->stop();
-    const auto stats = balancer.value()->stats();
-    EXPECT_EQ(stats.requests, kernels.size() + 8 + 2);
-    EXPECT_EQ(stats.routed.size(), backends);
-    std::uint64_t routed_total = 0;
-    for (const auto r : stats.routed) routed_total += r;
-    EXPECT_GE(routed_total, stats.requests);  // redispatches can only add
+    const std::uint64_t forwarded =
+        balancer_count(*balancer.value(), "repro_balancer_requests_total");
+    EXPECT_EQ(forwarded, kernels.size() + 8 + 2);
+    // What each worker admitted, from its own registry.
+    std::uint64_t served_total = 0;
+    std::uint64_t max_served = 0;
+    for (const auto& worker : workers) {
+      served_total += worker.requests();
+      max_served = std::max(max_served, worker.requests());
+    }
+    EXPECT_GE(served_total, forwarded);  // redispatches can only add
     if (backends > 1) {
       // Least-loaded with round-robin tie-break must actually spread work.
-      std::uint64_t max_routed = 0;
-      for (const auto r : stats.routed) max_routed = std::max(max_routed, r);
-      EXPECT_LT(max_routed, routed_total);
+      EXPECT_LT(max_served, served_total);
     }
     for (auto& worker : workers) worker.stop();
   }
@@ -386,8 +419,9 @@ TEST(BalancerTest, ReconnectsToRestartedBackend) {
   auto after = client.value().predict_source(kSourceKernel);
   ASSERT_TRUE(after.ok()) << after.error().message;
 
-  EXPECT_GE(balancer.value()->stats().reconnects, 1u);
-  EXPECT_GE(balancer.value()->stats().backend_failures, 1u);
+  EXPECT_GE(balancer_count(*balancer.value(), "repro_balancer_reconnects_total"), 1u);
+  EXPECT_GE(balancer_count(*balancer.value(), "repro_balancer_backend_failures_total"),
+            1u);
   balancer.value()->stop();
   worker.stop();
 }
@@ -423,7 +457,8 @@ TEST(BalancerTest, DeadlineBudgetDeductedAcrossRedispatch) {
   // fine (one in-flight slice can finish), but nowhere near 1000 * 30ms.
   EXPECT_GE(elapsed, std::chrono::milliseconds(200));
   EXPECT_LT(elapsed, std::chrono::seconds(10));
-  EXPECT_GE(balancer.value()->stats().redispatches, 1u);
+  EXPECT_GE(balancer_count(*balancer.value(), "repro_balancer_redispatches_total"),
+            1u);
 
   balancer.value()->stop();
   backend.stop();
@@ -472,9 +507,9 @@ TEST(BalancerTest, RoundTripBitIdenticalUnderSocketFaults) {
   for (auto& worker : workers) worker.stop();
 }
 
-// --- balancer-addressed health/stats ------------------------------------------
+// --- balancer-addressed health and the balancer's own counters ---------------
 
-TEST(BalancerTest, AnswersHealthAndStatsItself) {
+TEST(BalancerTest, AnswersHealthItself) {
   auto worker = InProcWorker::start();
   rf::BalancerOptions options;
   options.tcp_port = 0;
@@ -488,11 +523,44 @@ TEST(BalancerTest, AnswersHealthAndStatsItself) {
   EXPECT_GE(health.value().uptime_s, 0.0);
 
   ASSERT_TRUE(client.value().predict_source(kSourceKernel).ok());
-  auto stats = client.value().stats();
-  ASSERT_TRUE(stats.ok()) << stats.error().message;
-  EXPECT_EQ(stats.value().requests, 1u);
-  EXPECT_EQ(stats.value().connections, 1u);
-  EXPECT_EQ(stats.value().queue_depth, 0u);
+  auto after = client.value().health();
+  ASSERT_TRUE(after.ok()) << after.error().message;
+  EXPECT_EQ(after.value().queue_depth, 0u);
+  EXPECT_EQ(balancer_count(*balancer.value(), "repro_balancer_requests_total"), 1u);
+  EXPECT_EQ(balancer_count(*balancer.value(), "repro_balancer_connections_total"), 1u);
+
+  balancer.value()->stop();
+  worker.stop();
+}
+
+TEST(BalancerTest, CountsConnectionsAndProtocolErrorsInItsRegistry) {
+  // An unparseable request and a framing fault (an overlong line), each on
+  // its own client connection, count once each in the balancer's registry.
+  auto worker = InProcWorker::start();
+  rf::BalancerOptions options;
+  options.tcp_port = 0;
+  options.max_line_bytes = 64;
+  auto balancer = rf::Balancer::start({worker.endpoint()}, options);
+  ASSERT_TRUE(balancer.ok()) << balancer.error().message;
+
+  const int port = balancer.value()->tcp_port();
+  const std::string nope = exchange_raw(port, "{\"id\":1,\"type\":\"nope\"}\n");
+  auto nope_reply = rs::parse_response(nope.substr(0, nope.find('\n')));
+  ASSERT_TRUE(nope_reply.ok()) << nope;
+  EXPECT_EQ(nope_reply.value().id, 1u);
+  ASSERT_TRUE(nope_reply.value().error.has_value());
+  EXPECT_EQ(nope_reply.value().error->code, rc::ErrorCode::kParseError);
+  // Longer than one 4 KB socket read: it passes max_line_bytes unterminated.
+  const std::string overlong = exchange_raw(port, std::string(8192, 'x') + "\n");
+  auto overlong_reply = rs::parse_response(overlong.substr(0, overlong.find('\n')));
+  ASSERT_TRUE(overlong_reply.ok()) << overlong;
+  EXPECT_TRUE(overlong_reply.value().error.has_value());
+
+  EXPECT_EQ(balancer_count(*balancer.value(), "repro_balancer_protocol_errors_total"),
+            2u);
+  EXPECT_EQ(balancer_count(*balancer.value(), "repro_balancer_connections_total"), 2u);
+  EXPECT_EQ(balancer_count(*balancer.value(), "repro_balancer_requests_total"), 0u);
+  EXPECT_EQ(worker.requests(), 0u);  // nothing reached the worker
 
   balancer.value()->stop();
   worker.stop();
@@ -661,18 +729,13 @@ TEST(BalancerTest, TracedRequestMergesBalancerAndWorkerStages) {
 TEST(BalancerTest, AggregatesWorkerMetricsWithItsOwn) {
   // The balancer answers "metrics" by scraping every live worker and
   // merging: counters sum across workers, and the balancer's own
-  // repro_balancer_* series join the result. Each in-process worker gets
-  // its own registry so the sum is a real sum, not N copies of one shared
-  // registry.
-#if defined(REPRO_OBS_DISABLED)
-  GTEST_SKIP() << "metrics compiled out (REPRO_OBS=OFF)";
-#else
+  // repro_balancer_* series join the result. Each worker's Service owns its
+  // registry, so the sum is a real sum, not N copies of one shared count.
   constexpr std::size_t kBackends = 2;
-  std::vector<repro::obs::Registry> registries(kBackends);
   std::vector<InProcWorker> workers;
   std::vector<rf::BackendEndpoint> endpoints;
   for (std::size_t i = 0; i < kBackends; ++i) {
-    workers.push_back(InProcWorker::start({}, &registries[i]));
+    workers.push_back(InProcWorker::start());
     endpoints.push_back(workers.back().endpoint());
   }
   rf::BalancerOptions options;
@@ -715,10 +778,8 @@ TEST(BalancerTest, AggregatesWorkerMetricsWithItsOwn) {
 
   // Both workers actually served (least-loaded spreads a pipelined burst),
   // so the sum is a genuine cross-worker aggregate.
-  EXPECT_GT(registries[0].counter("repro_requests_total")->value(), 0u);
-  EXPECT_GT(registries[1].counter("repro_requests_total")->value(), 0u);
+  for (const auto& worker : workers) EXPECT_GT(worker.requests(), 0u);
 
   balancer.value()->stop();
   for (auto& worker : workers) worker.stop();
-#endif
 }

@@ -35,11 +35,6 @@ double value_of(const std::vector<std::pair<std::string, double>>& values,
 
 }  // namespace
 
-// REPRO_OBS=OFF compiles the hot paths to no-ops; the positive-count tests
-// are meaningless there (and the build is exercised by the obs-overhead
-// bench leg, not by this suite).
-#if !defined(REPRO_OBS_DISABLED)
-
 TEST(CounterTest, ConcurrentIncrementsSumExactly) {
   ro::Counter counter;
   constexpr int kThreads = 8;
@@ -69,6 +64,21 @@ TEST(GaugeTest, StoresLastValue) {
   gauge.set(3.5);
   gauge.set(-2.0);
   EXPECT_EQ(gauge.value(), -2.0);
+}
+
+TEST(GaugeTest, SetMaxKeepsTheHighWaterMarkUnderContention) {
+  ro::Gauge gauge;
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&gauge, t] {
+      for (int i = 0; i < 1000; ++i) gauge.set_max(static_cast<double>(t * 1000 + i));
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(gauge.value(), kThreads * 1000.0 - 1.0);
+  gauge.set_max(5.0);  // lower values never pull the mark down
+  EXPECT_EQ(gauge.value(), kThreads * 1000.0 - 1.0);
 }
 
 TEST(HistogramTest, QuantilesOnKnownSamples) {
@@ -205,12 +215,6 @@ TEST(EnabledSwitchTest, DisabledEventsAreDropped) {
   ro::set_enabled(true);
   counter.inc();
   EXPECT_EQ(counter.value(), 1u);
-}
-
-#endif  // !REPRO_OBS_DISABLED
-
-TEST(RegistryTest, GlobalIsOneInstance) {
-  EXPECT_EQ(&ro::Registry::global(), &ro::Registry::global());
 }
 
 // Traces are orthogonal to the metrics switch: a request that asked to be

@@ -103,7 +103,7 @@ std::uint64_t random_json_safe_u64(rc::Xoshiro256& rng) {
 rs::WireRequest random_request(rc::Xoshiro256& rng, bool json_safe) {
   rs::WireRequest request;
   request.id = json_safe ? random_json_safe_u64(rng) : rng.next();
-  switch (rng.uniform_index(6)) {
+  switch (rng.uniform_index(5)) {
     case 0: {
       request.kind = rs::RequestKind::kPredict;
       request.kernel = random_ascii(rng, 24);
@@ -123,9 +123,6 @@ rs::WireRequest random_request(rc::Xoshiro256& rng, bool json_safe) {
       request.kind = rs::RequestKind::kHealth;
       break;
     case 3:
-      request.kind = rs::RequestKind::kStats;
-      break;
-    case 4:
       request.kind = rs::RequestKind::kMetrics;
       break;
     default:
@@ -194,22 +191,11 @@ rco::Predictor::KernelPrediction random_prediction(rc::Xoshiro256& rng,
   return p;
 }
 
-rs::WireStats random_stats(rc::Xoshiro256& rng) {
-  rs::WireStats stats;
-  stats.uptime_s = std::fabs(random_finite(rng));
-  stats.queue_depth = random_json_safe_u64(rng);
-  stats.requests = random_json_safe_u64(rng);
-  stats.source_requests = random_json_safe_u64(rng);
-  stats.batches = random_json_safe_u64(rng);
-  stats.connections = random_json_safe_u64(rng);
-  stats.protocol_errors = random_json_safe_u64(rng);
-  stats.cache_hits = random_json_safe_u64(rng);
-  stats.cache_misses = random_json_safe_u64(rng);
-  stats.shed = random_json_safe_u64(rng);
-  stats.deadline_exceeded = random_json_safe_u64(rng);
-  stats.streamed = random_json_safe_u64(rng);
-  stats.peak_message_bytes = random_json_safe_u64(rng);
-  return stats;
+rs::WireHealth random_health(rc::Xoshiro256& rng) {
+  rs::WireHealth health;
+  health.uptime_s = std::fabs(random_finite(rng));
+  health.queue_depth = random_json_safe_u64(rng);
+  return health;
 }
 
 rc::Error random_error(rc::Xoshiro256& rng) {
@@ -224,7 +210,7 @@ rc::Error random_error(rc::Xoshiro256& rng) {
 /// as the exact bytes a peer would send.
 std::string random_valid_message(rc::Xoshiro256& rng) {
   const bool binary = rng.uniform_index(2) == 1;
-  switch (rng.uniform_index(9)) {
+  switch (rng.uniform_index(8)) {
     case 0: {
       const auto request = random_request(rng, /*json_safe=*/true);
       if (binary) return rb::format_request_frame(request);
@@ -246,22 +232,17 @@ std::string random_valid_message(rc::Xoshiro256& rng) {
       return rs::format_error(rng.next() & ((1ULL << 53) - 1), e, trace_ptr) +
              "\n";
     }
-    case 8: {
+    case 3: {
       const auto metrics = random_metrics(rng);
       if (binary) return rb::format_metrics_frame(rng.next(), metrics);
       return rs::format_metrics_response(rng.next() & ((1ULL << 53) - 1),
                                          metrics) +
              "\n";
     }
-    case 3: {
-      const auto stats = random_stats(rng);
-      if (binary) return rb::format_stats_frame(rng.next(), stats);
-      return rs::format_stats_response(rng.next() & ((1ULL << 53) - 1), stats) + "\n";
-    }
     case 4: {
-      const auto stats = random_stats(rng);
-      if (binary) return rb::format_health_frame(rng.next(), stats);
-      return rs::format_health_response(rng.next() & ((1ULL << 53) - 1), stats) + "\n";
+      const auto health = random_health(rng);
+      if (binary) return rb::format_health_frame(rng.next(), health);
+      return rs::format_health_response(rng.next() & ((1ULL << 53) - 1), health) + "\n";
     }
     case 5: {
       rb::SourceBegin begin;
@@ -431,22 +412,10 @@ void expect_response_equal(const rs::WireResponse& a, const rs::WireResponse& b)
       EXPECT_EQ(pa.heuristic, pb.heuristic);
     }
   }
-  ASSERT_EQ(a.stats.has_value(), b.stats.has_value());
-  EXPECT_EQ(a.health, b.health);
-  if (a.stats) {
-    EXPECT_TRUE(bits_equal(a.stats->uptime_s, b.stats->uptime_s));
-    EXPECT_EQ(a.stats->queue_depth, b.stats->queue_depth);
-    EXPECT_EQ(a.stats->requests, b.stats->requests);
-    EXPECT_EQ(a.stats->source_requests, b.stats->source_requests);
-    EXPECT_EQ(a.stats->batches, b.stats->batches);
-    EXPECT_EQ(a.stats->connections, b.stats->connections);
-    EXPECT_EQ(a.stats->protocol_errors, b.stats->protocol_errors);
-    EXPECT_EQ(a.stats->cache_hits, b.stats->cache_hits);
-    EXPECT_EQ(a.stats->cache_misses, b.stats->cache_misses);
-    EXPECT_EQ(a.stats->shed, b.stats->shed);
-    EXPECT_EQ(a.stats->deadline_exceeded, b.stats->deadline_exceeded);
-    EXPECT_EQ(a.stats->streamed, b.stats->streamed);
-    EXPECT_EQ(a.stats->peak_message_bytes, b.stats->peak_message_bytes);
+  ASSERT_EQ(a.health.has_value(), b.health.has_value());
+  if (a.health) {
+    EXPECT_TRUE(bits_equal(a.health->uptime_s, b.health->uptime_s));
+    EXPECT_EQ(a.health->queue_depth, b.health->queue_depth);
   }
   ASSERT_EQ(a.metrics.has_value(), b.metrics.has_value());
   if (a.metrics) {
@@ -536,12 +505,11 @@ TEST(ProtocolFuzz, MutatedJsonLinesAlwaysParseOrError) {
 }
 
 // Truncation at every byte boundary: mid-frame EOF must always be a clean
-// parse error, with three deliberate exceptions. A SourceChunk has valid
+// parse error, with two deliberate exceptions. A SourceChunk has valid
 // proper prefixes (its data is "the rest of the payload" by design); a
-// stats body's trailing peak_message_bytes u64 and a prediction/error
-// body's trailing trace section are optional for version skew, so the cut
-// that removes EXACTLY that tail yields a valid (tail-less) message — any
-// other cut must still error.
+// prediction/error body's trailing trace section is optional for version
+// skew, so the cut that removes EXACTLY that tail yields a valid
+// (trace-less) message — any other cut must still error.
 TEST(ProtocolFuzz, TruncatedBinaryPayloadsAlwaysError) {
   rc::Xoshiro256 rng(7);
   for (std::size_t i = 0; i < iterations(60); ++i) {
@@ -560,14 +528,10 @@ TEST(ProtocolFuzz, TruncatedBinaryPayloadsAlwaysError) {
         case rb::FrameType::kResponse: {
           const auto parsed = rb::parse_response(prefix);
           if (parsed.ok()) {
-            const bool stats_tail = parsed.value().stats.has_value() &&
-                                    !parsed.value().health &&
-                                    cut == payload.size() - 8;
             const bool trace_tail = (parsed.value().prediction.has_value() ||
                                      parsed.value().error.has_value()) &&
                                     !parsed.value().trace.has_value();
-            EXPECT_TRUE(stats_tail || trace_tail)
-                << "unexpected parse success at cut " << cut;
+            EXPECT_TRUE(trace_tail) << "unexpected parse success at cut " << cut;
           }
           break;
         }
@@ -687,7 +651,7 @@ TEST(ProtocolDifferential, ResponsesAgreeAcrossFramings) {
       const std::uint64_t id = random_json_safe_u64(rng);
       std::string json_line;
       std::string framed;
-      switch (rng.uniform_index(5)) {
+      switch (rng.uniform_index(4)) {
         case 0: {
           // inf travels exactly in both framings ("1e999" overflows
           // from_chars back to inf); nan is binary-only (JSON has no nan
@@ -704,15 +668,9 @@ TEST(ProtocolDifferential, ResponsesAgreeAcrossFramings) {
           break;
         }
         case 2: {
-          const auto stats = random_stats(rng);
-          json_line = rs::format_health_response(id, stats);
-          framed = rb::format_health_frame(id, stats);
-          break;
-        }
-        case 3: {
-          const auto stats = random_stats(rng);
-          json_line = rs::format_stats_response(id, stats);
-          framed = rb::format_stats_frame(id, stats);
+          const auto health = random_health(rng);
+          json_line = rs::format_health_response(id, health);
+          framed = rb::format_health_frame(id, health);
           break;
         }
         default: {
@@ -729,30 +687,6 @@ TEST(ProtocolDifferential, ResponsesAgreeAcrossFramings) {
       expect_response_equal(from_json.value(), from_binary.value());
     }
   }
-}
-
-// Health responses carry only uptime/queue_depth; the health flag must
-// distinguish them from full stats dumps in both framings.
-TEST(ProtocolDifferential, HealthAndStatsAreDistinguishable) {
-  rs::WireStats stats;
-  stats.uptime_s = 1.5;
-  stats.queue_depth = 3;
-  stats.requests = 7;
-
-  auto json_health = rs::parse_response(rs::format_health_response(1, stats));
-  auto json_stats = rs::parse_response(rs::format_stats_response(1, stats));
-  auto bin_health = rb::parse_response(frame_payload(rb::format_health_frame(1, stats)));
-  auto bin_stats = rb::parse_response(frame_payload(rb::format_stats_frame(1, stats)));
-  ASSERT_TRUE(json_health.ok() && json_stats.ok() && bin_health.ok() && bin_stats.ok());
-  EXPECT_TRUE(json_health.value().health);
-  EXPECT_FALSE(json_stats.value().health);
-  EXPECT_TRUE(bin_health.value().health);
-  EXPECT_FALSE(bin_stats.value().health);
-  // The short form does not carry the counters.
-  EXPECT_EQ(json_health.value().stats->requests, 0u);
-  EXPECT_EQ(bin_health.value().stats->requests, 0u);
-  EXPECT_EQ(json_stats.value().stats->requests, 7u);
-  EXPECT_EQ(bin_stats.value().stats->requests, 7u);
 }
 
 // The binary framing ships doubles as raw binary64 bit patterns: nan (with
