@@ -9,8 +9,8 @@
 // common::simd layer, and their bit_identical field checks the std-simd
 // backend against the unrolled fallback (the determinism contract of
 // docs/DETERMINISM.md). The serving section measures serve::Service —
-// micro-batched, sharded prediction under concurrent clients — reporting
-// throughput and latency percentiles per batching window, with
+// batched, sharded prediction under concurrent clients — reporting
+// throughput and latency percentiles per shard count, with
 // bit_identical comparing every response against direct predict_batch.
 //
 //   perf_stack [--smoke] [--threads N] [--out PATH]
@@ -34,13 +34,14 @@
 #include <cstring>
 #include <functional>
 #include <future>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <string_view>
+
+#include <sys/resource.h>
 
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
@@ -780,18 +781,17 @@ bool run_alloc_report() {
 
 // --- serving section ----------------------------------------------------------
 //
-// Throughput and latency of serve::Service — the micro-batching scheduler
-// and sharded workers above Predictor::predict_batch — under concurrent
-// client threads, swept over the batching window. bit_identical checks the
-// serving determinism contract: every response must equal the direct
-// predict_batch output for the same kernel, byte for byte.
+// Throughput and latency of serve::Service — sharded workers that pull
+// batches from one admission queue, above Predictor::predict_batch — under
+// concurrent client threads. bit_identical checks the serving determinism
+// contract: every response must equal the direct predict_batch output for
+// the same kernel, byte for byte.
 
 struct ServingResult {
   const char* mode = "closed_loop";
   std::size_t shards = 0;
-  long window_us = 0;
   std::size_t clients = 0;
-  double offered_rps = 0.0;  // open-loop arrival rate (0 for closed loop)
+  double offered_rps = 0.0;  // overload rows' arrival rate (0 for closed loop)
   std::size_t requests = 0;
   std::size_t batches = 0;
   double throughput_rps = 0.0;
@@ -802,8 +802,8 @@ struct ServingResult {
   // Overload rows only: the admission bound in force and what it refused.
   long max_queue_delay_us = 0;
   std::size_t shed = 0;
-  // obs-overhead row only: instrumented-vs-disabled throughput cost in
-  // percent (min over alternating pairs, clamped at 0). 0 elsewhere.
+  // obs-overhead row only: instrumented-vs-disabled CPU cost per request in
+  // percent (median over ABBA pairs; may be negative). 0 elsewhere.
   double overhead_pct = 0.0;
 };
 
@@ -813,6 +813,14 @@ double percentile_ms(const std::vector<double>& sorted_ms, double p) {
   const auto rank = static_cast<std::size_t>(
       p / 100.0 * static_cast<double>(sorted_ms.size() - 1) + 0.5);
   return sorted_ms[std::min(rank, sorted_ms.size() - 1)];
+}
+
+/// Sorts `latencies_ms` and fills the result's p50/p95/p99 from it.
+void fill_percentiles(ServingResult& result, std::vector<double>& latencies_ms) {
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  result.p50_ms = percentile_ms(latencies_ms, 50.0);
+  result.p95_ms = percentile_ms(latencies_ms, 95.0);
+  result.p99_ms = percentile_ms(latencies_ms, 99.0);
 }
 
 bool points_bit_identical(const std::vector<core::PredictedPoint>& a,
@@ -828,13 +836,47 @@ bool points_bit_identical(const std::vector<core::PredictedPoint>& a,
   return true;
 }
 
+/// Closed loop: `clients` threads each issue `per_client` blocking predicts
+/// against `service`, cycling through `mix`. Appends one latency per
+/// request to `latencies_ms`; returns whether every reply was bit-identical
+/// to `reference`.
+bool run_closed_loop(serve::Service& service,
+                     const std::vector<clfront::StaticFeatures>& mix,
+                     const std::vector<core::Predictor::KernelPrediction>& reference,
+                     std::size_t clients, std::size_t per_client,
+                     std::vector<double>& latencies_ms) {
+  const std::size_t offset = latencies_ms.size();
+  latencies_ms.resize(offset + clients * per_client, 0.0);
+  std::vector<char> identical(clients * per_client, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t c = 0; c < clients; ++c) {
+    workers.emplace_back([&, c] {
+      for (std::size_t i = 0; i < per_client; ++i) {
+        const std::size_t slot = c * per_client + i;
+        const std::size_t kernel = slot % mix.size();
+        const auto r0 = std::chrono::steady_clock::now();
+        auto response = service.predict(mix[kernel]);
+        const auto r1 = std::chrono::steady_clock::now();
+        latencies_ms[offset + slot] =
+            std::chrono::duration<double, std::milli>(r1 - r0).count();
+        identical[slot] = response.ok() && points_bit_identical(
+                                               response.value().pareto,
+                                               reference[kernel].pareto)
+                              ? 1
+                              : 0;
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  return std::all_of(identical.begin(), identical.end(), [](char ok) { return ok != 0; });
+}
+
 ServingResult bench_serving(const std::shared_ptr<const core::FrequencyModel>& model,
                             const std::vector<clfront::StaticFeatures>& mix,
-                            std::size_t shards, long window_us, std::size_t clients,
+                            std::size_t shards, std::size_t clients,
                             std::size_t per_client) {
   ServingResult result;
   result.shards = shards;
-  result.window_us = window_us;
   result.clients = clients;
   result.requests = clients * per_client;
 
@@ -844,183 +886,114 @@ ServingResult bench_serving(const std::shared_ptr<const core::FrequencyModel>& m
   serve::ServiceOptions options;
   options.shards = shards;
   options.max_batch = 16;
-  options.batch_window = std::chrono::microseconds(window_us);
   auto service = serve::Service::from_model(model, options);
   if (!service.ok()) {
     std::fprintf(stderr, "serving bench: %s\n", service.error().to_string().c_str());
     return result;
   }
 
-  std::vector<double> latencies_ms(result.requests, 0.0);
-  std::vector<char> identical(result.requests, 0);
-  std::vector<std::thread> workers;
+  std::vector<double> latencies_ms;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const std::size_t slot = c * per_client + i;
-        const std::size_t kernel = slot % mix.size();
-        const auto r0 = std::chrono::steady_clock::now();
-        auto response = service.value()->predict(mix[kernel]);
-        const auto r1 = std::chrono::steady_clock::now();
-        latencies_ms[slot] =
-            std::chrono::duration<double, std::milli>(r1 - r0).count();
-        identical[slot] =
-            response.ok() &&
-            points_bit_identical(response.value().pareto,
-                                 reference.value()[kernel].pareto)
-                ? 1
-                : 0;
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
+  result.bit_identical = run_closed_loop(*service.value(), mix, reference.value(),
+                                         clients, per_client, latencies_ms);
   const auto t1 = std::chrono::steady_clock::now();
   service.value()->stop();
 
   const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
   result.throughput_rps =
       elapsed_s > 0.0 ? static_cast<double>(result.requests) / elapsed_s : 0.0;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  result.p50_ms = percentile_ms(latencies_ms, 50.0);
-  result.p95_ms = percentile_ms(latencies_ms, 95.0);
-  result.p99_ms = percentile_ms(latencies_ms, 99.0);
-  result.bit_identical = true;
-  for (char ok : identical) result.bit_identical = result.bit_identical && ok != 0;
+  fill_percentiles(result, latencies_ms);
   result.batches = service.value()->stats().batches;
   return result;
 }
 
-/// The obs-overhead contract (docs/OBSERVABILITY.md): serving throughput
-/// with the metrics registry live vs runtime-disabled, as alternating
-/// pairs so machine noise hits both sides alike; the reported overhead is
-/// the MINIMUM across pairs (min-of-N sees through scheduler noise, and a
-/// real cost shows up in every pair). Tracing is off in both runs — it is
-/// off by default per request — and the disabled side still pays one
-/// relaxed load per event. The registry is the service's only count, so
-/// the disabled side's Service::stats() reads zero; only the instrumented
-/// side's batch count is reported.
+/// User + system CPU time of this whole process (every thread), in µs.
+double process_cpu_us() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto us = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e6 + static_cast<double>(t.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+/// The obs-overhead contract (docs/OBSERVABILITY.md): the CPU cost per
+/// request of the metrics registry, live vs runtime-disabled, on one
+/// Service under `clients` closed-loop client threads. Blocks of `block`
+/// requests alternate on and off in ABBA order (on/off, off/on, ...), so
+/// drift in machine speed hits both sides alike. A block's cost is the
+/// process's CPU time from getrusage, which counts every thread (clients,
+/// shards, pool) and none of the time they spend waiting. The overhead is
+/// the MEDIAN over pairs of (on - off) / off, negative when noise favours
+/// the instrumented side. Tracing is off on both sides — it is off by
+/// default per request — and the disabled side still pays one relaxed load
+/// per event. Every reply is checked bit for bit. The registry is the
+/// service's only count, so the disabled blocks leave Service::stats()
+/// alone; requests and batches are the instrumented side's.
 ServingResult bench_serving_obs_overhead(
     const std::shared_ptr<const core::FrequencyModel>& model,
     const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,
-    long window_us, std::size_t clients, std::size_t per_client, int pairs) {
+    std::size_t clients, std::size_t block, int pairs) {
   ServingResult result;
   result.mode = "obs-overhead";
   result.shards = shards;
-  result.window_us = window_us;
   result.clients = clients;
-  result.bit_identical = true;
-  double best_pct = std::numeric_limits<double>::infinity();
-  for (int pair = 0; pair < pairs; ++pair) {
-    obs::set_enabled(true);
-    const auto on = bench_serving(model, mix, shards, window_us, clients, per_client);
-    obs::set_enabled(false);
-    const auto off = bench_serving(model, mix, shards, window_us, clients, per_client);
-    obs::set_enabled(true);
-    result.bit_identical = result.bit_identical && on.bit_identical && off.bit_identical;
-    if (on.throughput_rps <= 0.0 || off.throughput_rps <= 0.0) continue;
-    const double pct =
-        (off.throughput_rps - on.throughput_rps) / off.throughput_rps * 100.0;
-    if (pct < best_pct) {
-      best_pct = pct;
-      result.requests = on.requests;
-      result.batches = on.batches;
-      result.throughput_rps = on.throughput_rps;  // the instrumented side
-      result.p50_ms = on.p50_ms;
-      result.p95_ms = on.p95_ms;
-      result.p99_ms = on.p99_ms;
-    }
-  }
-  result.overhead_pct =
-      std::isfinite(best_pct) ? std::max(0.0, best_pct) : 0.0;
-  return result;
-}
-
-/// Open-loop (arrival-rate-driven) serving latency. The closed-loop bench
-/// above understates batching wins — its 4 clients block on the window, so
-/// at most 4 requests can ever coalesce. Here one dispatcher submits
-/// requests on a fixed schedule (offered_rps), independent of completions,
-/// and an in-order collector timestamps each response as it resolves;
-/// latency is completion − *scheduled* arrival, so queueing delay under
-/// overload is charged to the request, as an open-loop harness must.
-ServingResult bench_serving_open_loop(
-    const std::shared_ptr<const core::FrequencyModel>& model,
-    const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,
-    long window_us, double offered_rps, std::size_t total_requests) {
-  ServingResult result;
-  result.mode = "open_loop";
-  result.shards = shards;
-  result.window_us = window_us;
-  result.clients = 1;
-  result.offered_rps = offered_rps;
-  result.requests = total_requests;
 
   auto direct = core::Predictor::from_model(model);
   const auto reference = direct.value().predict_batch(mix);
-
   serve::ServiceOptions options;
   options.shards = shards;
   options.max_batch = 16;
-  options.batch_window = std::chrono::microseconds(window_us);
-  // The admission queue must hold the whole backlog: a full queue would
-  // block the dispatcher and silently turn the harness closed-loop.
-  options.queue_capacity = total_requests;
   auto service = serve::Service::from_model(model, options);
   if (!service.ok()) {
-    std::fprintf(stderr, "open-loop bench: %s\n", service.error().to_string().c_str());
+    std::fprintf(stderr, "obs-overhead bench: %s\n",
+                 service.error().to_string().c_str());
     return result;
   }
 
-  struct InFlight {
-    std::future<serve::Service::Response> response;
-    std::chrono::steady_clock::time_point scheduled;
-    std::size_t kernel = 0;
-  };
-  common::BoundedQueue<InFlight> in_flight(total_requests);
-
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(total_requests);
-  bool identical = true;
-  std::chrono::steady_clock::time_point last_completion;
-  std::thread collector([&] {
-    // FIFO batching completes requests in arrival order, so waiting on the
-    // head future timestamps each completion accurately (a whole batch
-    // resolves together and is read together).
-    while (auto item = in_flight.pop()) {
-      auto response = item->response.get();
-      const auto now = std::chrono::steady_clock::now();
-      last_completion = now;
-      latencies_ms.push_back(
-          std::chrono::duration<double, std::milli>(now - item->scheduled).count());
-      identical = identical && response.ok() &&
-                  points_bit_identical(response.value().pareto,
-                                       reference.value()[item->kernel].pareto);
+  const std::size_t per_client = block / clients;
+  std::vector<double> scratch_ms;
+  result.bit_identical = run_closed_loop(*service.value(), mix, reference.value(),
+                                         clients, per_client, scratch_ms);  // warm-up
+  const auto warm = service.value()->stats();
+  // Reserved up front, so neither side's timed blocks reallocate.
+  std::vector<double> on_latencies_ms;
+  on_latencies_ms.reserve(static_cast<std::size_t>(pairs) * clients * per_client);
+  std::vector<double> pair_pct;
+  double on_wall_s = 0.0;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double cpu_us[2] = {0.0, 0.0};  // [0] disabled, [1] instrumented
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool on = (leg == 0) == (pair % 2 == 0);
+      obs::set_enabled(on);
+      scratch_ms.clear();
+      const double c0 = process_cpu_us();
+      const auto t0 = std::chrono::steady_clock::now();
+      result.bit_identical =
+          run_closed_loop(*service.value(), mix, reference.value(), clients,
+                          per_client, on ? on_latencies_ms : scratch_ms) &&
+          result.bit_identical;
+      const auto t1 = std::chrono::steady_clock::now();
+      cpu_us[on ? 1 : 0] = process_cpu_us() - c0;
+      if (on) on_wall_s += std::chrono::duration<double>(t1 - t0).count();
     }
-  });
-
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(1.0 / offered_rps));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < total_requests; ++i) {
-    const auto scheduled = t0 + interval * static_cast<long>(i);
-    std::this_thread::sleep_until(scheduled);
-    const std::size_t kernel = i % mix.size();
-    in_flight.push(InFlight{service.value()->submit(mix[kernel]), scheduled, kernel});
+    obs::set_enabled(true);
+    if (cpu_us[0] > 0.0) pair_pct.push_back((cpu_us[1] - cpu_us[0]) / cpu_us[0] * 100.0);
   }
-  in_flight.close();
-  collector.join();
   service.value()->stop();
 
-  const double elapsed_s = std::chrono::duration<double>(last_completion - t0).count();
+  if (!pair_pct.empty()) {
+    std::sort(pair_pct.begin(), pair_pct.end());
+    const std::size_t mid = pair_pct.size() / 2;
+    result.overhead_pct = pair_pct.size() % 2 == 1
+                              ? pair_pct[mid]
+                              : (pair_pct[mid - 1] + pair_pct[mid]) / 2.0;
+  }
+  result.requests = on_latencies_ms.size();
   result.throughput_rps =
-      elapsed_s > 0.0 ? static_cast<double>(total_requests) / elapsed_s : 0.0;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  result.p50_ms = percentile_ms(latencies_ms, 50.0);
-  result.p95_ms = percentile_ms(latencies_ms, 95.0);
-  result.p99_ms = percentile_ms(latencies_ms, 99.0);
-  result.bit_identical = identical && latencies_ms.size() == total_requests;
-  result.batches = service.value()->stats().batches;
+      on_wall_s > 0.0 ? static_cast<double>(result.requests) / on_wall_s : 0.0;
+  fill_percentiles(result, on_latencies_ms);
+  result.batches = service.value()->stats().batches - warm.batches;
   return result;
 }
 
@@ -1034,16 +1007,16 @@ ServingResult bench_serving_open_loop(
 /// exists to protect. "shed" counts the refused requests.
 /// True service capacity for the overload A/B: submit `n` requests as fast
 /// as the admission queue accepts them and time the drain. Closed-loop
-/// client threads understate this badly — they are latency-bound and the
-/// batching window never fills — and an overload bench calibrated against
-/// an understated capacity never actually overloads.
+/// client threads understate this badly — they are latency-bound, so the
+/// queue never holds more than one request per client — and an overload
+/// bench calibrated against an understated capacity never actually
+/// overloads.
 double measure_capacity_rps(const std::shared_ptr<const core::FrequencyModel>& model,
                             const std::vector<clfront::StaticFeatures>& mix,
-                            std::size_t shards, long window_us, std::size_t n) {
+                            std::size_t shards, std::size_t n) {
   serve::ServiceOptions options;
   options.shards = shards;
   options.max_batch = 16;
-  options.batch_window = std::chrono::microseconds(window_us);
   options.queue_capacity = n;
   auto service = serve::Service::from_model(model, options);
   if (!service.ok()) return 0.0;
@@ -1063,12 +1036,11 @@ double measure_capacity_rps(const std::shared_ptr<const core::FrequencyModel>& m
 ServingResult bench_serving_overload(
     const std::shared_ptr<const core::FrequencyModel>& model,
     const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,
-    long window_us, double offered_rps, std::size_t total_requests,
+    double offered_rps, std::size_t total_requests,
     std::chrono::microseconds max_queue_delay) {
   ServingResult result;
   result.mode = "overload";
   result.shards = shards;
-  result.window_us = window_us;
   result.clients = 1;
   result.offered_rps = offered_rps;
   result.requests = total_requests;
@@ -1080,7 +1052,6 @@ ServingResult bench_serving_overload(
   serve::ServiceOptions options;
   options.shards = shards;
   options.max_batch = 16;
-  options.batch_window = std::chrono::microseconds(window_us);
   options.queue_capacity = total_requests;  // admission never blocks
   options.max_queue_delay = max_queue_delay;
   auto service = serve::Service::from_model(model, options);
@@ -1140,12 +1111,9 @@ ServingResult bench_serving_overload(
   const double elapsed_s = std::chrono::duration<double>(last_completion - t0).count();
   result.throughput_rps =
       elapsed_s > 0.0 ? static_cast<double>(accepted_ms.size()) / elapsed_s : 0.0;
-  std::sort(accepted_ms.begin(), accepted_ms.end());
-  result.p50_ms = percentile_ms(accepted_ms, 50.0);
-  result.p95_ms = percentile_ms(accepted_ms, 95.0);
-  result.p99_ms = percentile_ms(accepted_ms, 99.0);
   result.shed = shed;
   result.bit_identical = identical && accepted_ms.size() + shed == total_requests;
+  fill_percentiles(result, accepted_ms);
   result.batches = service.value()->stats().batches;
   return result;
 }
@@ -1153,7 +1121,7 @@ ServingResult bench_serving_overload(
 /// Fleet serving: concurrent clients against the front balancer over N
 /// in-process workers (each a Service + SocketServer on an ephemeral TCP
 /// port). Times the whole stack — wire framing both ways, balancer
-/// dispatch, worker micro-batching — closed loop; "shards" carries the
+/// dispatch, worker batching — closed loop; "shards" carries the
 /// worker count. bit_identical holds the fleet determinism contract: the
 /// same reply bytes at any worker count.
 ServingResult bench_serving_fleet(
@@ -1163,7 +1131,6 @@ ServingResult bench_serving_fleet(
   ServingResult result;
   result.mode = "fleet";
   result.shards = workers;
-  result.window_us = 200;
   result.clients = clients;
   result.requests = clients * per_client;
 
@@ -1180,7 +1147,6 @@ ServingResult bench_serving_fleet(
     serve::ServiceOptions options;
     options.shards = 2;
     options.max_batch = 16;
-    options.batch_window = std::chrono::microseconds(result.window_us);
     auto service = serve::Service::from_model(model, options);
     if (!service.ok()) {
       std::fprintf(stderr, "fleet bench: %s\n", service.error().to_string().c_str());
@@ -1243,10 +1209,7 @@ ServingResult bench_serving_fleet(
   const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
   result.throughput_rps =
       elapsed_s > 0.0 ? static_cast<double>(result.requests) / elapsed_s : 0.0;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  result.p50_ms = percentile_ms(latencies_ms, 50.0);
-  result.p95_ms = percentile_ms(latencies_ms, 95.0);
-  result.p99_ms = percentile_ms(latencies_ms, 99.0);
+  fill_percentiles(result, latencies_ms);
   result.bit_identical = true;
   for (char ok : identical) result.bit_identical = result.bit_identical && ok != 0;
   result.batches = batches;
@@ -1299,14 +1262,14 @@ void write_json(const std::string& path, bool smoke, std::size_t threads,
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const auto& s = serving[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"shards\": %zu, \"window_us\": %ld, "
+                 "    {\"mode\": \"%s\", \"shards\": %zu, "
                  "\"clients\": %zu, \"offered_rps\": %.0f, "
                  "\"requests\": %zu, \"batches\": %zu, \"throughput_rps\": %.1f, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"max_queue_delay_us\": %ld, \"shed\": %zu, "
                  "\"overhead_pct\": %.2f, "
                  "\"bit_identical\": %s}%s\n",
-                 s.mode, s.shards, s.window_us, s.clients, s.offered_rps, s.requests,
+                 s.mode, s.shards, s.clients, s.offered_rps, s.requests,
                  s.batches, s.throughput_rps, s.p50_ms, s.p95_ms, s.p99_ms,
                  s.max_queue_delay_us, s.shed, s.overhead_pct,
                  s.bit_identical ? "true" : "false", i + 1 < serving.size() ? "," : "");
@@ -1417,9 +1380,9 @@ int main(int argc, char** argv) {
   for (std::size_t n : codec_sizes) run(bench_protocol_parse_arena(n, codec_reps));
   for (std::size_t n : codec_sizes) run(bench_serving_hotpath(n, codec_reps));
 
-  // serving: throughput and latency percentiles of serve::Service vs the
-  // batching window, concurrent clients hammering one node. Restoring the
-  // pool here also keeps any later library use on the expected thread count.
+  // serving: throughput and latency percentiles of serve::Service per shard
+  // count, concurrent clients hammering one node. Restoring the pool here
+  // also keeps any later library use on the expected thread count.
   common::ThreadPool::set_global_threads(threads);
   std::vector<ServingResult> serving;
   std::vector<clfront::StaticFeatures> mix;
@@ -1427,57 +1390,30 @@ int main(int argc, char** argv) {
   if (model != nullptr) {
     const std::size_t clients = 4;
     const std::size_t per_client = smoke ? 50 : 400;
-    const std::vector<long> windows =
-        smoke ? std::vector<long>{200} : std::vector<long>{0, 200, 1000};
     const std::vector<std::size_t> shard_counts =
         smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{1, 2};
     for (std::size_t shards : shard_counts) {
-      for (long window : windows) {
-        auto s = bench_serving(model, mix, shards, window, clients, per_client);
-        std::printf(
-            "serving            shards=%zu window=%4ldus  %8.0f req/s   p50 %6.3f ms  "
-            "p99 %6.3f ms   %s\n",
-            s.shards, s.window_us, s.throughput_rps, s.p50_ms, s.p99_ms,
-            s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-        serving.push_back(s);
-      }
+      auto s = bench_serving(model, mix, shards, clients, per_client);
+      std::printf(
+          "serving            shards=%zu  %8.0f req/s   p50 %6.3f ms  "
+          "p99 %6.3f ms   %s\n",
+          s.shards, s.throughput_rps, s.p50_ms, s.p99_ms,
+          s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
+      serving.push_back(s);
     }
-    // Open loop: requests arrive on a clock, not on completions, so the
-    // batching window actually fills — the number the closed loop cannot
-    // show. Rates straddle the closed-loop single-shard throughput.
-    const double duration_s = smoke ? 0.1 : 0.5;
-    const std::vector<double> rates =
-        smoke ? std::vector<double>{5000.0}
-              : std::vector<double>{5000.0, 15000.0, 30000.0};
-    const std::vector<long> open_windows =
-        smoke ? std::vector<long>{200} : std::vector<long>{0, 200};
-    for (long window : open_windows) {
-      for (double rate : rates) {
-        const auto total = static_cast<std::size_t>(rate * duration_s);
-        auto s = bench_serving_open_loop(model, mix, 2, window, rate, total);
-        std::printf(
-            "serving-open       shards=%zu window=%4ldus  offered %6.0f req/s  "
-            "p50 %6.3f ms  p99 %6.3f ms   %s\n",
-            s.shards, s.window_us, s.offered_rps, s.p50_ms, s.p99_ms,
-            s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-        serving.push_back(s);
-      }
-    }
-    // Overload: offer ~2x the measured closed-loop capacity, with the
-    // admission shedder off and on. The off row shows what an unprotected
-    // queue does to latency; the on row shows the shed rate that buys the
-    // accepted requests a bounded p99.
+    // Overload: offer ~2x the measured capacity, with the admission shedder
+    // off and on. The off row shows what an unprotected queue does to
+    // latency; the on row shows the shed rate that buys the accepted
+    // requests a bounded p99.
     {
-      double capacity_rps =
-          measure_capacity_rps(model, mix, 2, 200, smoke ? 2000 : 20000);
+      double capacity_rps = measure_capacity_rps(model, mix, 2, smoke ? 2000 : 20000);
       if (capacity_rps <= 0.0) capacity_rps = smoke ? 5000.0 : 20000.0;
       const double overload_rps = 2.0 * capacity_rps;
       const double overload_duration_s = smoke ? 0.1 : 0.5;
       const auto overload_total =
           static_cast<std::size_t>(overload_rps * overload_duration_s);
       for (const long delay_us : {0L, 2000L}) {
-        auto s = bench_serving_overload(model, mix, 2, 200, overload_rps,
-                                        overload_total,
+        auto s = bench_serving_overload(model, mix, 2, overload_rps, overload_total,
                                         std::chrono::microseconds(delay_us));
         std::printf(
             "serving-overload   shards=%zu bound=%4ldus offered %6.0f req/s  "
@@ -1500,22 +1436,20 @@ int main(int argc, char** argv) {
     for (std::size_t workers : worker_counts) {
       auto s = bench_serving_fleet(model, mix, workers, clients, fleet_per_client);
       std::printf(
-          "serving-fleet      workers=%zu           %8.0f req/s   p50 %6.3f ms  "
+          "serving-fleet      workers=%zu %8.0f req/s   p50 %6.3f ms  "
           "p99 %6.3f ms   %s\n",
           s.shards, s.throughput_rps, s.p50_ms, s.p99_ms,
           s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
       serving.push_back(s);
     }
     // obs-overhead: the observability tax — instrumented vs runtime-
-    // disabled metrics on the closed-loop serving bench. perf_gate.sh
-    // enforces the <= 3% contract on this row's overhead_pct.
+    // disabled metrics, CPU per request over ABBA blocks of 2,000 requests.
+    // perf_gate.sh enforces the <= 3% contract on this row's overhead_pct.
     {
-      auto s = bench_serving_obs_overhead(model, mix, 2, 200, clients,
-                                          smoke ? 50 : 200, 3);
+      auto s = bench_serving_obs_overhead(model, mix, 2, clients, 2000, 80);
       std::printf(
-          "serving-obs        shards=%zu window=%4ldus  %8.0f req/s   overhead "
-          "%5.2f%%   %s\n",
-          s.shards, s.window_us, s.throughput_rps, s.overhead_pct,
+          "serving-obs        shards=%zu  %8.0f req/s   overhead %5.2f%%   %s\n",
+          s.shards, s.throughput_rps, s.overhead_pct,
           s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
       serving.push_back(s);
     }

@@ -7,8 +7,7 @@
 //
 // Options:
 //   --shards N          worker shards, each owning a Predictor   (default 2)
-//   --max-batch N       micro-batch size cap                     (default 16)
-//   --batch-window-us N coalescing window in microseconds        (default 200)
+//   --max-batch N       most queued requests a shard takes at once (default 16)
 //   --max-queue-delay-us N  shed (retryable "overloaded") when the estimated
 //                       admission-queue delay exceeds N           (default 0 = off)
 //   --cache-dir DIR     on-disk model cache directory  (default .repro_serve_cache)
@@ -43,7 +42,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--unix PATH | --tcp PORT) [--shards N] [--max-batch N]\n"
-               "          [--batch-window-us N] [--max-queue-delay-us N]\n"
+               "          [--max-queue-delay-us N]\n"
                "          [--cache-dir DIR] [--num-configs N] [--suite-stride N]\n",
                argv0);
   return 2;
@@ -69,9 +68,6 @@ int main(int argc, char** argv) {
       config.options.shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--max-batch" && has_value) {
       config.options.max_batch = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--batch-window-us" && has_value) {
-      config.options.batch_window =
-          std::chrono::microseconds(std::strtol(argv[++i], nullptr, 10));
     } else if (arg == "--max-queue-delay-us" && has_value) {
       config.options.max_queue_delay =
           std::chrono::microseconds(std::strtol(argv[++i], nullptr, 10));

@@ -1,5 +1,5 @@
 // Quick-serve: the in-process serving flow in ~40 lines — a Service over a
-// model cache, concurrent clients, micro-batched predictions. No sockets:
+// model cache, concurrent clients, batched predictions. No sockets:
 // this is the API tests and benchmarks use; repro_serve adds the wire.
 #include <cstdio>
 #include <thread>
@@ -12,12 +12,12 @@
 using namespace repro;
 
 int main() {
-  // Train once (or reuse the on-disk copy from a previous run), share the
-  // model across two shards, coalesce requests for up to 500 us.
+  // Train once (or reuse the on-disk copy from a previous run) and share the
+  // model across two shards; a shard that frees up takes up to 8 queued
+  // requests as one batch.
   serve::ServiceConfig config;
   config.options.shards = 2;
   config.options.max_batch = 8;
-  config.options.batch_window = std::chrono::microseconds(500);
   serve::ModelCache cache(".repro_serve_cache");
   auto service = serve::Service::create(config, cache);
   if (!service.ok()) {

@@ -1,17 +1,18 @@
-// Bounded blocking MPMC queue — the admission and dispatch primitive under
-// the serving layer (serve::Service). Closing the queue is the shutdown
-// signal: producers are refused, consumers drain what is left and then see
-// end-of-stream. The queue imposes FIFO order under one mutex, which is what
-// the micro-batcher's arrival sequence numbers are assigned against.
+// Bounded blocking MPMC queue — the admission queue of serve::Service (every
+// shard pulls its batches from it with pop_batch) and the per-connection
+// reply queues of the socket server and the balancer. Closing the queue is
+// the shutdown signal: producers are refused, consumers drain what is left
+// and then see end-of-stream. The queue imposes FIFO order under one mutex,
+// which is what the service's arrival sequence numbers are assigned against.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace repro::common {
 
@@ -40,44 +41,40 @@ class BoundedQueue {
     return true;
   }
 
-  /// Enqueue only if there is room right now; never blocks. Like push(),
-  /// `item` is left intact when the call returns false.
-  bool try_push(T&& item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Block until an item is available and dequeue it. Returns nullopt only
   /// when the queue is closed *and* drained — items enqueued before close()
   /// are always delivered.
   std::optional<T> pop() {
     std::unique_lock lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return pop_locked(lock);
+    if (items_.empty()) return std::nullopt;  // closed and drained
+    T item = std::move(items_.front());
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
+    return item;
   }
 
-  /// Like pop(), but gives up at `deadline`; nullopt on timeout as well as
-  /// on closed-and-drained (callers that care can check closed()).
-  template <typename Clock, typename Duration>
-  std::optional<T> pop_until(const std::chrono::time_point<Clock, Duration>& deadline) {
+  /// Block until an item is available, then move it and whatever else is
+  /// queued behind it — at most `max` items in all, oldest first — onto the
+  /// end of `out`, under one lock (a `max` of 0 is promoted to 1). Returns
+  /// how many were moved: 0 only when the queue is closed *and* drained.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
+    if (max == 0) max = 1;
     std::unique_lock lock(mutex_);
-    if (!not_empty_.wait_until(lock, deadline,
-                               [&] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    std::size_t taken = 0;
+    for (; taken < max && !items_.empty(); ++taken) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
     }
-    return pop_locked(lock);
-  }
-
-  /// Dequeue only if an item is available right now; never blocks.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    return pop_locked(lock);
+    lock.unlock();
+    if (taken == 1) {
+      not_full_.notify_one();
+    } else if (taken > 1) {
+      not_full_.notify_all();
+    }
+    return taken;
   }
 
   /// Refuse new items and wake every waiter. Idempotent; already-queued
@@ -91,28 +88,12 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
     return items_.size();
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
  private:
-  std::optional<T> pop_locked(std::unique_lock<std::mutex>& lock) {
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;

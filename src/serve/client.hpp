@@ -3,7 +3,7 @@
 // negotiate_binary(), length-prefixed binary frames), read responses. predict/predict_source are strict request→response round trips;
 // predict_source_many pipelines — all requests are written back-to-back and
 // the responses (which the server returns in request order) are read
-// afterwards, filling the server's micro-batching window from one
+// afterwards, so the server's shards can batch requests from one
 // connection. Not thread-safe — use one client per thread.
 //
 // connect_unix/connect_tcp take a ConnectOptions with bounded exponential

@@ -3,7 +3,7 @@
 // One request per line, one response line per request, over a Unix or TCP
 // socket. Two prediction request types: "predict" carries the 10 raw static
 // feature counts, "predict_source" carries OpenCL-C source that the server
-// featurizes on its worker shards (inside the micro-batch, off the
+// featurizes on its worker shards (inside the batch, off the
 // connection thread):
 //
 //   {"id": 7, "type": "predict", "kernel": "saxpy",

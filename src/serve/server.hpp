@@ -9,9 +9,9 @@
 // each connection is *pipelined*: the reader decodes and submits request
 // N+1 while N's batch is still in flight (up to max_inflight outstanding),
 // and the writer sends responses back strictly in request order. A client
-// that streams many request lines without waiting therefore fills the
-// micro-batching window from a single connection — previously batching only
-// coalesced across connections. Requests are submitted to the shared
+// that streams many request lines without waiting therefore queues several
+// requests at once, and a shard that frees up takes them as one batch even
+// from a single connection. Requests are submitted to the shared
 // Service; predict_source requests ship raw bytes and featurize on the
 // worker shards. stop() is graceful: the listener closes, open connections
 // are shut down, in-flight requests are still answered.

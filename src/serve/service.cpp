@@ -45,18 +45,10 @@ struct Service::Impl {
 
   obs::Registry owned_registry;  // unused when ServiceOptions::registry is set
   obs::Registry& registry;
+  /// The one queue every shard pulls its batches from.
   common::BoundedQueue<Request> admission;
-  /// Retired batch vectors (emptied, capacity intact) waiting for reuse —
-  /// shard loops give back, the scheduler takes. Bounded by
-  /// ServiceOptions::spare_batches; overflow is simply freed.
-  std::mutex spare_mutex;
-  std::vector<Batch> spare_batches;
-  // One queue per shard; a small bound so a slow shard backpressures the
-  // scheduler instead of buffering unboundedly.
-  std::vector<std::unique_ptr<common::BoundedQueue<Batch>>> shard_queues;
   std::vector<core::Predictor> shard_predictors;
   std::vector<std::thread> shard_threads;
-  std::thread scheduler;
   std::atomic<std::uint64_t> next_seq{0};
   std::atomic<bool> stopped{false};
   std::once_flag stop_once;
@@ -65,23 +57,6 @@ struct Service::Impl {
   // completes — shedding never fires cold.
   std::mutex ewma_mutex;
   double ewma_service_us = 0.0;
-
-  /// Pop a retired batch vector (empty, capacity intact) or a fresh one.
-  [[nodiscard]] Batch take_spare() {
-    std::lock_guard lock(spare_mutex);
-    if (spare_batches.empty()) return {};
-    Batch batch = std::move(spare_batches.back());
-    spare_batches.pop_back();
-    return batch;
-  }
-
-  /// Return a served batch's vector for reuse; freed when the list is full.
-  void give_spare(Batch&& batch, std::size_t cap) {
-    batch.clear();
-    if (batch.capacity() == 0) return;  // nothing worth keeping
-    std::lock_guard lock(spare_mutex);
-    if (spare_batches.size() < cap) spare_batches.push_back(std::move(batch));
-  }
 
   // obs instruments (registry-owned; see the constructor).
   obs::Counter* obs_requests = nullptr;
@@ -149,15 +124,10 @@ common::Result<std::unique_ptr<Service>> Service::from_model(
 
 void Service::start(std::vector<core::Predictor> shard_predictors) {
   impl_->shard_predictors = std::move(shard_predictors);
-  impl_->shard_queues.reserve(options_.shards);
   impl_->shard_threads.reserve(options_.shards);
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    impl_->shard_queues.push_back(std::make_unique<common::BoundedQueue<Batch>>(4));
-  }
   for (std::size_t s = 0; s < options_.shards; ++s) {
     impl_->shard_threads.emplace_back([this, s] { shard_loop(s); });
   }
-  impl_->scheduler = std::thread([this] { scheduler_loop(); });
 }
 
 Service::~Service() {
@@ -167,11 +137,8 @@ Service::~Service() {
 void Service::stop() {
   std::call_once(impl_->stop_once, [this] {
     impl_->stopped.store(true, std::memory_order_release);
+    // Closing admission lets the shards drain what was admitted and exit.
     impl_->admission.close();
-    if (impl_->scheduler.joinable()) impl_->scheduler.join();
-    // The scheduler has drained the admission queue into the shard queues
-    // by now; closing them lets the workers finish their backlog and exit.
-    for (auto& q : impl_->shard_queues) q->close();
     for (auto& t : impl_->shard_threads) {
       if (t.joinable()) t.join();
     }
@@ -293,8 +260,8 @@ std::future<Service::Response> Service::enqueue(Request request, bool is_source,
     }
   }
   // The sequence number is taken immediately before the push; the queue's
-  // FIFO order under its mutex can interleave differently, which is why the
-  // scheduler re-sorts each batch by seq before dispatch.
+  // FIFO order under its mutex can interleave differently, which is why a
+  // shard re-sorts each batch it pulls by seq before serving it.
   request.seq = impl_->next_seq.fetch_add(1, std::memory_order_relaxed);
   // The request is moved into the queue; keep the (usually null) trace
   // handle so the admission stamp lands after a successful push.
@@ -333,65 +300,24 @@ std::vector<Service::Response> Service::predict_many(
   return out;
 }
 
-void Service::scheduler_loop() {
-  std::size_t next_shard = 0;
-  for (;;) {
-    auto first = impl_->admission.pop();
-    if (!first.has_value()) break;  // closed and drained → shut down
-
-    Batch batch = impl_->take_spare();  // reuses a served batch's capacity
-    batch.reserve(options_.max_batch);
-    batch.push_back(std::move(*first));
-    if (options_.batch_window.count() > 0) {
-      const auto deadline = std::chrono::steady_clock::now() + options_.batch_window;
-      while (batch.size() < options_.max_batch) {
-        auto follower = impl_->admission.pop_until(deadline);
-        if (!follower.has_value()) break;  // window expired or queue closed
-        batch.push_back(std::move(*follower));
-      }
-    } else {
-      while (batch.size() < options_.max_batch) {
-        auto follower = impl_->admission.try_pop();
-        if (!follower.has_value()) break;
-        batch.push_back(std::move(*follower));
-      }
-    }
-
+void Service::shard_loop(std::size_t shard_index) {
+  core::Predictor& predictor = impl_->shard_predictors[shard_index];
+  // Per-shard scratch, cleared (capacity kept) every batch, so steady-state
+  // batch service performs no vector allocations. Shard-local — no locking.
+  Batch batch;
+  std::vector<clfront::StaticFeatures> features;
+  std::vector<std::size_t> slots;  // batch index serving features[k]
+  batch.reserve(options_.max_batch);
+  features.reserve(options_.max_batch);
+  slots.reserve(options_.max_batch);
+  // Block for the first request, then take whatever queued behind it; 0
+  // means the queue is closed and drained.
+  for (; impl_->admission.pop_batch(batch, options_.max_batch) > 0; batch.clear()) {
     // Deterministic batch assembly: the batch is ordered by arrival
     // sequence number, not by queue-mutex interleaving.
     std::sort(batch.begin(), batch.end(),
               [](const Request& a, const Request& b) { return a.seq < b.seq; });
-
     impl_->obs_batches->inc();
-
-    // Round-robin dispatch. push() only fails when the shard queue is
-    // closed, which stop() does strictly after this loop exits — but if
-    // that invariant ever breaks, fail the promises rather than drop them
-    // (a refused push leaves the batch intact).
-    const std::size_t shard = next_shard;
-    next_shard = (next_shard + 1) % options_.shards;
-    if (!impl_->shard_queues[shard]->push(std::move(batch))) {
-      for (auto& request : batch) request.promise.set_value(unavailable_error());
-      break;
-    }
-  }
-  // Normal exit drains the admission queue through the loop above; after an
-  // abnormal break, answer whatever is still queued instead of abandoning it.
-  while (auto leftover = impl_->admission.try_pop()) {
-    leftover->promise.set_value(unavailable_error());
-  }
-}
-
-void Service::shard_loop(std::size_t shard_index) {
-  core::Predictor& predictor = impl_->shard_predictors[shard_index];
-  auto& queue = *impl_->shard_queues[shard_index];
-  // Per-shard scratch, cleared (capacity kept) every batch, so steady-state
-  // batch service performs no vector allocations. Shard-local — no locking.
-  std::vector<clfront::StaticFeatures> features;
-  std::vector<std::size_t> slots;  // batch index serving features[k]
-  for (;;) {
-    auto batch = queue.pop();
-    if (!batch.has_value()) return;  // closed and drained
 
     // Featurize source payloads here, on the shard — a request's features
     // depend only on its own bytes, so where this runs cannot change the
@@ -400,12 +326,10 @@ void Service::shard_loop(std::size_t shard_index) {
     // needed after this — move, don't copy.
     features.clear();
     slots.clear();
-    features.reserve(batch->size());
-    slots.reserve(batch->size());
     const auto batch_start = std::chrono::steady_clock::now();
     std::uint64_t expired = 0;
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      auto& request = (*batch)[i];
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      auto& request = batch[i];
       // A deadline that ran out while the request sat in a queue: answer it
       // now, spend nothing on featurization or prediction. Checked once per
       // batch, not per-predict — close enough, and keeps the hot loop flat.
@@ -430,10 +354,7 @@ void Service::shard_loop(std::size_t shard_index) {
       }
     }
     if (expired > 0) impl_->obs_deadline_exceeded->inc(expired);
-    if (features.empty()) {
-      impl_->give_spare(std::move(*batch), options_.spare_batches);
-      continue;
-    }
+    if (features.empty()) continue;
 
     auto predictions = predictor.predict_batch(features);
     const auto batch_end = std::chrono::steady_clock::now();
@@ -458,7 +379,7 @@ void Service::shard_loop(std::size_t shard_index) {
     // Admission-to-prediction latency, one histogram sample per request —
     // all against the single batch_end clock read above.
     for (std::size_t slot : slots) {
-      auto& request = (*batch)[slot];
+      auto& request = batch[slot];
       obs::stamp(request.trace, "execute");
       impl_->obs_latency->observe_us(
           std::chrono::duration<double, std::micro>(batch_end - request.arrival)
@@ -467,14 +388,13 @@ void Service::shard_loop(std::size_t shard_index) {
     if (predictions.ok()) {
       auto& results = predictions.value();
       for (std::size_t k = 0; k < slots.size(); ++k) {
-        (*batch)[slots[k]].promise.set_value(std::move(results[k]));
+        batch[slots[k]].promise.set_value(std::move(results[k]));
       }
     } else {
       for (std::size_t slot : slots) {
-        (*batch)[slot].promise.set_value(predictions.error());
+        batch[slot].promise.set_value(predictions.error());
       }
     }
-    impl_->give_spare(std::move(*batch), options_.spare_batches);
   }
 }
 

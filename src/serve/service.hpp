@@ -1,10 +1,16 @@
-// The in-process prediction service: a bounded admission queue, a
-// micro-batching scheduler, and a sharded worker pool over core::Predictor.
+// The in-process prediction service: a bounded admission queue and a
+// sharded worker pool over core::Predictor. Each shard pulls its own batch:
 //
-//   admission queue          scheduler                shards
-//   (BoundedQueue) ──pop──▶ coalesce ≤ max_batch  ──▶ shard 0: Predictor ─▶ promise
-//    submit() seq#           within batch_window  ──▶ shard 1: Predictor ─▶ promise
-//    submit_source()         sort by seq#, RR     ──▶ …        (one model)
+//   submit()          admission queue                shards (one model)
+//   submit_source() ─▶ (BoundedQueue, ◀──pop_batch── shard 0: Predictor ─▶ promises
+//     seq#              FIFO)         ◀──pop_batch── shard 1: Predictor ─▶ promises
+//                                     ◀──pop_batch── …
+//
+// A shard blocks until a request is queued, then takes it together with
+// whatever else is already waiting, up to max_batch, under one lock, and
+// sorts that batch by seq# before serving it. An idle service therefore
+// serves a request at once; under load, the backlog that builds while every
+// shard is busy becomes the next batch. There is no timer.
 //
 // Requests carry either pre-extracted features (submit) or raw OpenCL-C
 // source (submit_source). Source requests are featurized on the worker
@@ -16,14 +22,14 @@
 // Determinism: a request's prediction depends only on its features and the
 // trained model — never on which batch, shard, or thread served it — so
 // every response is bit-identical to a direct Predictor::predict_batch call
-// at any shard count, batch window, and REPRO_THREADS setting
+// at any shard count, max_batch, and REPRO_THREADS setting
 // (tests/serve_test.cpp asserts this with memcmp). Batch assembly itself is
 // made reproducible-by-construction: requests carry arrival sequence
-// numbers and each batch is sorted by them before dispatch, so a batch's
+// numbers and each batch is sorted by them before it is served, so a batch's
 // composition is a deterministic function of which requests it coalesced.
 //
 // Shutdown: stop() (or the destructor) closes the admission queue, the
-// scheduler drains what was already admitted, every queued request is still
+// shards drain what was already admitted, every queued request is still
 // answered, and late submit() calls fail fast with an unavailable error.
 #pragma once
 
@@ -51,11 +57,9 @@ namespace repro::serve {
 struct ServiceOptions {
   /// Worker shards; each owns a Predictor over the shared trained model.
   std::size_t shards = 1;
-  /// Coalesce at most this many requests into one predict_batch call.
+  /// A shard takes at most this many queued requests into one
+  /// predict_batch call.
   std::size_t max_batch = 16;
-  /// How long the scheduler waits for followers after a batch's first
-  /// request arrives. Zero = dispatch whatever is immediately available.
-  std::chrono::microseconds batch_window{200};
   /// Admission-queue bound; submit() blocks when full (backpressure).
   std::size_t queue_capacity = 1024;
   /// Load shedding: when non-zero, submit() rejects (kUnavailable,
@@ -68,13 +72,6 @@ struct ServiceOptions {
   /// that a SocketServer over this service counts into. Null = a registry
   /// the Service owns, so two services in one process never share counts.
   obs::Registry* registry = nullptr;
-  /// How many retired batch vectors the scheduler keeps for reuse. Served
-  /// batches return their (emptied, capacity-keeping) vector to a free list
-  /// instead of freeing it, so steady-state batch assembly allocates
-  /// nothing. 0 disables reuse. Invisible to outputs — a pooled vector is
-  /// cleared before refilling, so batch composition and reply bytes are
-  /// unchanged (the determinism tests still pass with any setting).
-  std::size_t spare_batches = 8;
 };
 
 /// What a Service trains (or loads through a ModelCache) at startup.
@@ -91,7 +88,7 @@ class Service {
   using Response = common::Result<core::Predictor::KernelPrediction>;
 
   /// Load the model for `config` through `cache` (training it on a miss),
-  /// then start the scheduler and shard workers. The cache is only used
+  /// then start the shard workers. The cache is only used
   /// during create — the returned Service keeps the model alive on its own.
   [[nodiscard]] static common::Result<std::unique_ptr<Service>> create(
       const ServiceConfig& config, ModelCache& cache);
@@ -201,8 +198,9 @@ class Service {
   /// Where this service — and any SocketServer over it — counts: the
   /// registry named by ServiceOptions::registry, or the service's own.
   [[nodiscard]] obs::Registry& registry() const noexcept;
-  /// Requests admitted but not yet pulled into a batch — the backlog a
-  /// "health" wire response reports as queue_depth.
+  /// Requests admitted but not yet pulled into a batch by a shard — the
+  /// backlog a "health" wire response reports as queue_depth, and the one
+  /// load shedding estimates its delay from.
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] const ServiceOptions& options() const noexcept { return options_; }
   [[nodiscard]] const core::FrequencyModel& model() const noexcept { return *model_; }
@@ -210,7 +208,6 @@ class Service {
  private:
   Service(std::shared_ptr<const core::FrequencyModel> model, ServiceOptions options);
   void start(std::vector<core::Predictor> shard_predictors);
-  void scheduler_loop();
   void shard_loop(std::size_t shard_index);
 
   struct Request {
@@ -230,7 +227,7 @@ class Service {
 
   std::shared_ptr<const core::FrequencyModel> model_;
   ServiceOptions options_;
-  struct Impl;  // queues, threads, counters (keeps <thread> out of the header)
+  struct Impl;  // queue, threads, counters (keeps <thread> out of the header)
   std::unique_ptr<Impl> impl_;
 };
 

@@ -3,8 +3,8 @@
 // threads and processes, corrupt-file fallback), deserializer robustness against
 // truncated/corrupt model files, Predictor::Builder validation, and the
 // headline contract — serve::Service responses are bit-identical to direct
-// Predictor::predict_batch output at any shard count, batch window, and
-// thread count, under concurrent clients, in-process and over a socket.
+// Predictor::predict_batch output at any shard count and thread count, under
+// concurrent clients, in-process and over a socket.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -125,6 +125,34 @@ std::vector<rcl::StaticFeatures> request_mix(std::size_t n) {
   return out;
 }
 
+/// A many-function OpenCL source: `n` helpers plus one kernel that calls
+/// every 7th (~375 KB at n = 4,000). Featurizing it keeps a shard busy for
+/// tens of milliseconds, which the batching tests below use.
+std::string many_function_source(std::size_t n) {
+  std::string source;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string id = std::to_string(i);
+    source += "float helper" + id + "(float v) { /* synthetic filler " + id +
+              " */ return v * " + id + ".25f + native_sin(v) - " + id + "; }\n";
+  }
+  source += "kernel void chain(global float* x) {\n  float v = x[get_global_id(0)];\n";
+  for (std::size_t i = 0; i < n; i += 7) {
+    source += "  v = helper" + std::to_string(i) + "(v);\n";
+  }
+  source += "  x[get_global_id(0)] = v;\n}\n";
+  return source;
+}
+
+/// Submits a large source and returns once a shard has pulled it, so that
+/// shard is busy featurizing while the caller goes on.
+std::future<rs::Service::Response> occupy_one_shard(rs::Service& service) {
+  auto busy = service.submit_source(many_function_source(4000));
+  while (service.queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return busy;
+}
+
 /// The raw-source request used by every predict_source test below.
 const char* kSourceKernel = R"CL(
 // A kernel the service has never seen: fused multiply-add with a helper.
@@ -194,13 +222,16 @@ double metric_value(const rs::WireMetrics& metrics, const std::string& name) {
 
 TEST(BoundedQueueTest, FifoAndCapacity) {
   rc::BoundedQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
+  ASSERT_TRUE(q.push(1));
+  ASSERT_TRUE(q.push(2));
+  std::thread producer([&] { EXPECT_TRUE(q.push(3)); });  // full: waits for room
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(q.size(), 2u);  // the bound holds
   EXPECT_EQ(q.pop().value(), 1);
+  producer.join();
   EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_EQ(q.pop().value(), 3);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, PushBlocksUntilPopMakesRoom) {
@@ -238,13 +269,39 @@ TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
   consumer.join();
 }
 
-TEST(BoundedQueueTest, PopUntilTimesOut) {
-  rc::BoundedQueue<int> q(1);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto item =
-      q.pop_until(t0 + std::chrono::milliseconds(30));
-  EXPECT_FALSE(item.has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(25));
+TEST(BoundedQueueTest, PopBatchTakesWhatIsQueuedUpToN) {
+  rc::BoundedQueue<int> q(2);
+  ASSERT_TRUE(q.push(1));
+  ASSERT_TRUE(q.push(2));
+  // Two producers block on the full queue; one bulk pop makes room for both.
+  std::vector<std::thread> producers;
+  for (const int v : {3, 4}) {
+    producers.emplace_back([&q, v] { EXPECT_TRUE(q.push(int{v})); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::vector<int> out{0};
+  EXPECT_EQ(q.pop_batch(out, 2), 2u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));  // appended, oldest first
+  for (auto& t : producers) t.join();  // both woken, or this hangs
+  out.clear();
+  EXPECT_EQ(q.pop_batch(out, 1), 1u);  // never more than N
+  EXPECT_EQ(q.pop_batch(out, 8), 1u);  // only what is queued: no wait for more
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<int>{3, 4}));
+
+  // An empty queue blocks the caller until the first item arrives.
+  std::thread late([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(q.push(5));
+  });
+  out.clear();
+  EXPECT_EQ(q.pop_batch(out, 8), 1u);
+  late.join();
+  ASSERT_TRUE(q.push(6));
+  q.close();
+  EXPECT_EQ(q.pop_batch(out, 8), 1u);  // closed, not drained: still delivers
+  EXPECT_EQ(q.pop_batch(out, 8), 0u);  // 0 only once closed and drained
+  EXPECT_EQ(out, (std::vector<int>{5, 6}));
 }
 
 // --- JSON + protocol ----------------------------------------------------------
@@ -912,44 +969,40 @@ TEST(ServiceTest, ResponsesBitIdenticalToDirectPredictBatch) {
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const std::size_t threads : {1u, 8u}) {
-      for (const long window_us : {0L, 1000L}) {
-        rc::ThreadPool::set_global_threads(threads);
-        rs::ServiceOptions options;
-        options.shards = shards;
-        options.max_batch = 4;
-        options.batch_window = std::chrono::microseconds(window_us);
-        auto service = rs::Service::from_model(trained_model(), options);
-        ASSERT_TRUE(service.ok()) << service.error().message;
+      rc::ThreadPool::set_global_threads(threads);
+      rs::ServiceOptions options;
+      options.shards = shards;
+      options.max_batch = 4;
+      auto service = rs::Service::from_model(trained_model(), options);
+      ASSERT_TRUE(service.ok()) << service.error().message;
 
-        // N concurrent clients, each with its own slice of the mix.
-        std::vector<rs::Service::Response> responses(kernels.size(),
-                                                     rc::internal_error("unset"));
-        std::vector<std::thread> clients;
-        for (std::size_t c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {
-            for (std::size_t i = 0; i < kPerClient; ++i) {
-              const std::size_t slot = c * kPerClient + i;
-              responses[slot] = service.value()->predict(kernels[slot]);
-            }
-          });
-        }
-        for (auto& t : clients) t.join();
-        service.value()->stop();
-
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-          ASSERT_TRUE(responses[i].ok())
-              << responses[i].error().message << " shards=" << shards
-              << " threads=" << threads << " window=" << window_us;
-          EXPECT_EQ(responses[i].value().kernel, reference.value()[i].kernel);
-          EXPECT_TRUE(bitwise_equal(responses[i].value().pareto,
-                                    reference.value()[i].pareto))
-              << "kernel " << i << " shards=" << shards << " threads=" << threads
-              << " window=" << window_us;
-        }
-        const auto stats = service.value()->stats();
-        EXPECT_EQ(stats.requests, kernels.size());
-        EXPECT_GE(stats.batches, 1u);
+      // N concurrent clients, each with its own slice of the mix.
+      std::vector<rs::Service::Response> responses(kernels.size(),
+                                                   rc::internal_error("unset"));
+      std::vector<std::thread> clients;
+      for (std::size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          for (std::size_t i = 0; i < kPerClient; ++i) {
+            const std::size_t slot = c * kPerClient + i;
+            responses[slot] = service.value()->predict(kernels[slot]);
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+      service.value()->stop();
+
+      for (std::size_t i = 0; i < kernels.size(); ++i) {
+        ASSERT_TRUE(responses[i].ok())
+            << responses[i].error().message << " shards=" << shards
+            << " threads=" << threads;
+        EXPECT_EQ(responses[i].value().kernel, reference.value()[i].kernel);
+        EXPECT_TRUE(bitwise_equal(responses[i].value().pareto,
+                                  reference.value()[i].pareto))
+            << "kernel " << i << " shards=" << shards << " threads=" << threads;
+      }
+      const auto stats = service.value()->stats();
+      EXPECT_EQ(stats.requests, kernels.size());
+      EXPECT_GE(stats.batches, 1u);
     }
   }
 }
@@ -958,17 +1011,36 @@ TEST(ServiceTest, CoalescesConcurrentRequestsIntoBatches) {
   rs::ServiceOptions options;
   options.shards = 1;
   options.max_batch = 16;
-  options.batch_window = std::chrono::milliseconds(20);
   auto service = rs::Service::from_model(trained_model(), options);
   ASSERT_TRUE(service.ok());
+  // The only shard is busy featurizing a large source, so the 12 requests
+  // predict_many submits before gathering queue up behind it.
+  auto busy = occupy_one_shard(*service.value());
+  const auto before = service.value()->stats();
   const auto responses = service.value()->predict_many(request_mix(12));
   for (const auto& r : responses) EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(busy.get().ok());
   service.value()->stop();
   const auto stats = service.value()->stats();
-  EXPECT_EQ(stats.requests, 12u);
-  // predict_many submits all 12 before gathering; with a 20 ms window the
-  // scheduler must have coalesced at least some of them.
-  EXPECT_LT(stats.batches, 12u);
+  EXPECT_EQ(stats.requests - before.requests, 12u);
+  // A shard that frees up takes the whole backlog it finds, so the 12 must
+  // have been coalesced into fewer batches.
+  EXPECT_LT(stats.batches - before.batches, 12u);
+}
+
+TEST(ServiceTest, IdleShardServesWhileAnotherIsBusy) {
+  rs::ServiceOptions options;
+  options.shards = 2;
+  options.max_batch = 1;
+  auto service = rs::Service::from_model(trained_model(), options);
+  ASSERT_TRUE(service.ok());
+  auto busy = occupy_one_shard(*service.value());
+  // Both requests go to the idle shard: neither waits behind the source.
+  const auto kernels = request_mix(2);
+  EXPECT_TRUE(service.value()->predict(kernels[0]).ok());
+  EXPECT_TRUE(service.value()->predict(kernels[1]).ok());
+  EXPECT_EQ(busy.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  EXPECT_TRUE(busy.get().ok());
 }
 
 TEST(ServiceTest, StopIsGracefulAndRefusesLateWork) {
@@ -1264,7 +1336,6 @@ TEST(SheddingTest, OverloadShedsWithRetryableErrorAndServesTheRest) {
   rs::ServiceOptions options;
   options.shards = 1;
   options.max_batch = 1;  // one request per batch: backlog builds fast
-  options.batch_window = std::chrono::microseconds(0);
   options.max_queue_delay = std::chrono::microseconds(1);
   auto service = rs::Service::from_model(trained_model(), options);
   ASSERT_TRUE(service.ok());
@@ -1404,7 +1475,6 @@ TEST(SocketTest, SourcePredictionsBitIdenticalAtEveryShardThreadAndChunking) {
       rs::ServiceOptions options;
       options.shards = shards;
       options.max_batch = 4;
-      options.batch_window = std::chrono::microseconds(200);
       auto service = rs::Service::from_model(trained_model(), options);
       ASSERT_TRUE(service.ok());
       rs::ServerOptions server_options;
