@@ -8,10 +8,10 @@
 // simd_kernel_matrix) compare the pre-SIMD sequential loops against the
 // common::simd layer, and their bit_identical field checks the std-simd
 // backend against the unrolled fallback (the determinism contract of
-// docs/DETERMINISM.md). The serving section measures serve::Service —
-// batched, sharded prediction under concurrent clients — reporting
-// throughput and latency percentiles per shard count, with
-// bit_identical comparing every response against direct predict_batch.
+// docs/DETERMINISM.md). The serving section has one row, obs-overhead: the
+// CPU cost per request of the metrics registry on serve::Service under
+// concurrent clients, with bit_identical comparing every response against
+// direct predict_batch.
 //
 //   perf_stack [--smoke] [--threads N] [--out PATH]
 //
@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,7 +44,6 @@
 
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
-#include "common/queue.hpp"
 
 #include "benchgen/benchgen.hpp"
 #include "clfront/features.hpp"
@@ -60,11 +58,9 @@
 #include "ml/matrix.hpp"
 #include "ml/svr.hpp"
 #include "ml/synthetic.hpp"
-#include "fleet/balancer.hpp"
 #include "obs/metrics.hpp"
 #include "pareto/pareto.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
+#include "serve/protocol.hpp"
 #include "serve/service.hpp"
 
 using namespace repro;
@@ -781,17 +777,18 @@ bool run_alloc_report() {
 
 // --- serving section ----------------------------------------------------------
 //
-// Throughput and latency of serve::Service — sharded workers that pull
-// batches from one admission queue, above Predictor::predict_batch — under
-// concurrent client threads. bit_identical checks the serving determinism
-// contract: every response must equal the direct predict_batch output for
-// the same kernel, byte for byte.
+// One row, obs-overhead: the CPU cost of the metrics registry on
+// serve::Service — sharded workers that pull batches from one admission
+// queue, above Predictor::predict_batch — under concurrent client threads.
+// bit_identical checks the serving determinism contract: every response
+// must equal the direct predict_batch output for the same kernel, byte for
+// byte. End-to-end throughput, latency, overload and fleet behaviour are
+// e2ebench's to measure, from outside the process.
 
 struct ServingResult {
-  const char* mode = "closed_loop";
+  const char* mode = "obs-overhead";
   std::size_t shards = 0;
   std::size_t clients = 0;
-  double offered_rps = 0.0;  // overload rows' arrival rate (0 for closed loop)
   std::size_t requests = 0;
   std::size_t batches = 0;
   double throughput_rps = 0.0;
@@ -799,11 +796,8 @@ struct ServingResult {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   bool bit_identical = false;
-  // Overload rows only: the admission bound in force and what it refused.
-  long max_queue_delay_us = 0;
-  std::size_t shed = 0;
-  // obs-overhead row only: instrumented-vs-disabled CPU cost per request in
-  // percent (median over ABBA pairs; may be negative). 0 elsewhere.
+  // Instrumented-vs-disabled CPU cost per request in percent (median over
+  // ABBA pairs; may be negative).
   double overhead_pct = 0.0;
 };
 
@@ -871,42 +865,6 @@ bool run_closed_loop(serve::Service& service,
   return std::all_of(identical.begin(), identical.end(), [](char ok) { return ok != 0; });
 }
 
-ServingResult bench_serving(const std::shared_ptr<const core::FrequencyModel>& model,
-                            const std::vector<clfront::StaticFeatures>& mix,
-                            std::size_t shards, std::size_t clients,
-                            std::size_t per_client) {
-  ServingResult result;
-  result.shards = shards;
-  result.clients = clients;
-  result.requests = clients * per_client;
-
-  auto direct = core::Predictor::from_model(model);
-  const auto reference = direct.value().predict_batch(mix);
-
-  serve::ServiceOptions options;
-  options.shards = shards;
-  options.max_batch = 16;
-  auto service = serve::Service::from_model(model, options);
-  if (!service.ok()) {
-    std::fprintf(stderr, "serving bench: %s\n", service.error().to_string().c_str());
-    return result;
-  }
-
-  std::vector<double> latencies_ms;
-  const auto t0 = std::chrono::steady_clock::now();
-  result.bit_identical = run_closed_loop(*service.value(), mix, reference.value(),
-                                         clients, per_client, latencies_ms);
-  const auto t1 = std::chrono::steady_clock::now();
-  service.value()->stop();
-
-  const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-  result.throughput_rps =
-      elapsed_s > 0.0 ? static_cast<double>(result.requests) / elapsed_s : 0.0;
-  fill_percentiles(result, latencies_ms);
-  result.batches = service.value()->stats().batches;
-  return result;
-}
-
 /// User + system CPU time of this whole process (every thread), in µs.
 double process_cpu_us() {
   rusage usage{};
@@ -935,7 +893,6 @@ ServingResult bench_serving_obs_overhead(
     const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,
     std::size_t clients, std::size_t block, int pairs) {
   ServingResult result;
-  result.mode = "obs-overhead";
   result.shards = shards;
   result.clients = clients;
 
@@ -997,225 +954,6 @@ ServingResult bench_serving_obs_overhead(
   return result;
 }
 
-/// Overload: an open-loop dispatcher offering ~2x the service's measured
-/// capacity, with and without the admission-time load shedder
-/// (ServiceOptions::max_queue_delay). Without shedding every request is
-/// admitted and the backlog — and therefore the latency of *every* request —
-/// grows for as long as the burst lasts; with shedding the service refuses
-/// (retryable kUnavailable) what it could only serve stale, and the p50/p99
-/// here are those of the ACCEPTED requests, which is the number shedding
-/// exists to protect. "shed" counts the refused requests.
-/// True service capacity for the overload A/B: submit `n` requests as fast
-/// as the admission queue accepts them and time the drain. Closed-loop
-/// client threads understate this badly — they are latency-bound, so the
-/// queue never holds more than one request per client — and an overload
-/// bench calibrated against an understated capacity never actually
-/// overloads.
-double measure_capacity_rps(const std::shared_ptr<const core::FrequencyModel>& model,
-                            const std::vector<clfront::StaticFeatures>& mix,
-                            std::size_t shards, std::size_t n) {
-  serve::ServiceOptions options;
-  options.shards = shards;
-  options.max_batch = 16;
-  options.queue_capacity = n;
-  auto service = serve::Service::from_model(model, options);
-  if (!service.ok()) return 0.0;
-  std::vector<std::future<serve::Service::Response>> futures;
-  futures.reserve(n);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(service.value()->submit(mix[i % mix.size()]));
-  }
-  for (auto& f : futures) (void)f.get();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  service.value()->stop();
-  return elapsed_s > 0.0 ? static_cast<double>(n) / elapsed_s : 0.0;
-}
-
-ServingResult bench_serving_overload(
-    const std::shared_ptr<const core::FrequencyModel>& model,
-    const std::vector<clfront::StaticFeatures>& mix, std::size_t shards,
-    double offered_rps, std::size_t total_requests,
-    std::chrono::microseconds max_queue_delay) {
-  ServingResult result;
-  result.mode = "overload";
-  result.shards = shards;
-  result.clients = 1;
-  result.offered_rps = offered_rps;
-  result.requests = total_requests;
-  result.max_queue_delay_us = static_cast<long>(max_queue_delay.count());
-
-  auto direct = core::Predictor::from_model(model);
-  const auto reference = direct.value().predict_batch(mix);
-
-  serve::ServiceOptions options;
-  options.shards = shards;
-  options.max_batch = 16;
-  options.queue_capacity = total_requests;  // admission never blocks
-  options.max_queue_delay = max_queue_delay;
-  auto service = serve::Service::from_model(model, options);
-  if (!service.ok()) {
-    std::fprintf(stderr, "overload bench: %s\n", service.error().to_string().c_str());
-    return result;
-  }
-  // Warm the shedder's service-time estimate: it deliberately never fires
-  // cold, and this bench is about its steady-state behaviour.
-  (void)service.value()->predict(mix[0]);
-
-  struct InFlight {
-    std::future<serve::Service::Response> response;
-    std::chrono::steady_clock::time_point scheduled;
-    std::size_t kernel = 0;
-  };
-  common::BoundedQueue<InFlight> in_flight(total_requests);
-
-  std::vector<double> accepted_ms;
-  accepted_ms.reserve(total_requests);
-  std::size_t shed = 0;
-  bool identical = true;
-  std::chrono::steady_clock::time_point last_completion;
-  std::thread collector([&] {
-    while (auto item = in_flight.pop()) {
-      auto response = item->response.get();
-      const auto now = std::chrono::steady_clock::now();
-      last_completion = now;
-      if (response.ok()) {
-        accepted_ms.push_back(
-            std::chrono::duration<double, std::milli>(now - item->scheduled).count());
-        identical = identical &&
-                    points_bit_identical(response.value().pareto,
-                                         reference.value()[item->kernel].pareto);
-      } else if (response.error().code == common::ErrorCode::kUnavailable) {
-        ++shed;  // the admission bound working as designed
-      } else {
-        identical = false;  // anything else is a bench failure
-      }
-    }
-  });
-
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(1.0 / offered_rps));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < total_requests; ++i) {
-    const auto scheduled = t0 + interval * static_cast<long>(i);
-    std::this_thread::sleep_until(scheduled);
-    const std::size_t kernel = i % mix.size();
-    in_flight.push(InFlight{service.value()->submit(mix[kernel]), scheduled, kernel});
-  }
-  in_flight.close();
-  collector.join();
-  service.value()->stop();
-
-  const double elapsed_s = std::chrono::duration<double>(last_completion - t0).count();
-  result.throughput_rps =
-      elapsed_s > 0.0 ? static_cast<double>(accepted_ms.size()) / elapsed_s : 0.0;
-  result.shed = shed;
-  result.bit_identical = identical && accepted_ms.size() + shed == total_requests;
-  fill_percentiles(result, accepted_ms);
-  result.batches = service.value()->stats().batches;
-  return result;
-}
-
-/// Fleet serving: concurrent clients against the front balancer over N
-/// in-process workers (each a Service + SocketServer on an ephemeral TCP
-/// port). Times the whole stack — wire framing both ways, balancer
-/// dispatch, worker batching — closed loop; "shards" carries the
-/// worker count. bit_identical holds the fleet determinism contract: the
-/// same reply bytes at any worker count.
-ServingResult bench_serving_fleet(
-    const std::shared_ptr<const core::FrequencyModel>& model,
-    const std::vector<clfront::StaticFeatures>& mix, std::size_t workers,
-    std::size_t clients, std::size_t per_client) {
-  ServingResult result;
-  result.mode = "fleet";
-  result.shards = workers;
-  result.clients = clients;
-  result.requests = clients * per_client;
-
-  auto direct = core::Predictor::from_model(model);
-  const auto reference = direct.value().predict_batch(mix);
-
-  struct Worker {
-    std::unique_ptr<serve::Service> service;
-    std::unique_ptr<serve::SocketServer> server;
-  };
-  std::vector<Worker> nodes;
-  std::vector<fleet::BackendEndpoint> endpoints;
-  for (std::size_t w = 0; w < workers; ++w) {
-    serve::ServiceOptions options;
-    options.shards = 2;
-    options.max_batch = 16;
-    auto service = serve::Service::from_model(model, options);
-    if (!service.ok()) {
-      std::fprintf(stderr, "fleet bench: %s\n", service.error().to_string().c_str());
-      return result;
-    }
-    serve::ServerOptions server_options;
-    server_options.tcp_port = 0;
-    auto server = serve::SocketServer::start(*service.value(), server_options);
-    if (!server.ok()) {
-      std::fprintf(stderr, "fleet bench: %s\n", server.error().to_string().c_str());
-      return result;
-    }
-    endpoints.push_back({"", server.value()->tcp_port()});
-    nodes.push_back({std::move(service).take(), std::move(server).take()});
-  }
-  fleet::BalancerOptions balancer_options;
-  balancer_options.tcp_port = 0;
-  auto balancer = fleet::Balancer::start(endpoints, balancer_options);
-  if (!balancer.ok()) {
-    std::fprintf(stderr, "fleet bench: %s\n", balancer.error().to_string().c_str());
-    return result;
-  }
-
-  std::vector<double> latencies_ms(result.requests, 0.0);
-  std::vector<char> identical(result.requests, 0);
-  std::vector<std::thread> threads;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      auto client =
-          serve::SocketClient::connect_tcp(balancer.value()->tcp_port());
-      if (!client.ok()) return;
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const std::size_t slot = c * per_client + i;
-        const std::size_t kernel = slot % mix.size();
-        const auto r0 = std::chrono::steady_clock::now();
-        auto response = client.value().predict(mix[kernel]);
-        const auto r1 = std::chrono::steady_clock::now();
-        latencies_ms[slot] =
-            std::chrono::duration<double, std::milli>(r1 - r0).count();
-        identical[slot] =
-            response.ok() &&
-            points_bit_identical(response.value().pareto,
-                                 reference.value()[kernel].pareto)
-                ? 1
-                : 0;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  balancer.value()->stop();
-  std::size_t batches = 0;
-  for (auto& worker : nodes) {
-    worker.server->stop();
-    worker.service->stop();
-    batches += worker.service->stats().batches;
-  }
-
-  const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-  result.throughput_rps =
-      elapsed_s > 0.0 ? static_cast<double>(result.requests) / elapsed_s : 0.0;
-  fill_percentiles(result, latencies_ms);
-  result.bit_identical = true;
-  for (char ok : identical) result.bit_identical = result.bit_identical && ok != 0;
-  result.batches = batches;
-  return result;
-}
-
 /// Train the serving model on a reduced suite (every 4th micro-benchmark,
 /// 16 configurations) — representative shape, seconds-scale training.
 std::shared_ptr<const core::FrequencyModel> serving_model(
@@ -1262,16 +1000,12 @@ void write_json(const std::string& path, bool smoke, std::size_t threads,
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const auto& s = serving[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"shards\": %zu, "
-                 "\"clients\": %zu, \"offered_rps\": %.0f, "
+                 "    {\"mode\": \"%s\", \"shards\": %zu, \"clients\": %zu, "
                  "\"requests\": %zu, \"batches\": %zu, \"throughput_rps\": %.1f, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"max_queue_delay_us\": %ld, \"shed\": %zu, "
-                 "\"overhead_pct\": %.2f, "
-                 "\"bit_identical\": %s}%s\n",
-                 s.mode, s.shards, s.clients, s.offered_rps, s.requests,
-                 s.batches, s.throughput_rps, s.p50_ms, s.p95_ms, s.p99_ms,
-                 s.max_queue_delay_us, s.shed, s.overhead_pct,
+                 "\"overhead_pct\": %.2f, \"bit_identical\": %s}%s\n",
+                 s.mode, s.shards, s.clients, s.requests, s.batches, s.throughput_rps,
+                 s.p50_ms, s.p95_ms, s.p99_ms, s.overhead_pct,
                  s.bit_identical ? "true" : "false", i + 1 < serving.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -1380,79 +1114,22 @@ int main(int argc, char** argv) {
   for (std::size_t n : codec_sizes) run(bench_protocol_parse_arena(n, codec_reps));
   for (std::size_t n : codec_sizes) run(bench_serving_hotpath(n, codec_reps));
 
-  // serving: throughput and latency percentiles of serve::Service per shard
-  // count, concurrent clients hammering one node. Restoring the pool here
+  // serving: the one remaining row, obs-overhead. Restoring the pool here
   // also keeps any later library use on the expected thread count.
   common::ThreadPool::set_global_threads(threads);
   std::vector<ServingResult> serving;
   std::vector<clfront::StaticFeatures> mix;
   const auto model = serving_model(mix);
   if (model != nullptr) {
-    const std::size_t clients = 4;
-    const std::size_t per_client = smoke ? 50 : 400;
-    const std::vector<std::size_t> shard_counts =
-        smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{1, 2};
-    for (std::size_t shards : shard_counts) {
-      auto s = bench_serving(model, mix, shards, clients, per_client);
-      std::printf(
-          "serving            shards=%zu  %8.0f req/s   p50 %6.3f ms  "
-          "p99 %6.3f ms   %s\n",
-          s.shards, s.throughput_rps, s.p50_ms, s.p99_ms,
-          s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-      serving.push_back(s);
-    }
-    // Overload: offer ~2x the measured capacity, with the admission shedder
-    // off and on. The off row shows what an unprotected queue does to
-    // latency; the on row shows the shed rate that buys the accepted
-    // requests a bounded p99.
-    {
-      double capacity_rps = measure_capacity_rps(model, mix, 2, smoke ? 2000 : 20000);
-      if (capacity_rps <= 0.0) capacity_rps = smoke ? 5000.0 : 20000.0;
-      const double overload_rps = 2.0 * capacity_rps;
-      const double overload_duration_s = smoke ? 0.1 : 0.5;
-      const auto overload_total =
-          static_cast<std::size_t>(overload_rps * overload_duration_s);
-      for (const long delay_us : {0L, 2000L}) {
-        auto s = bench_serving_overload(model, mix, 2, overload_rps, overload_total,
-                                        std::chrono::microseconds(delay_us));
-        std::printf(
-            "serving-overload   shards=%zu bound=%4ldus offered %6.0f req/s  "
-            "shed %5.1f%%  p50 %6.3f ms  p99 %6.3f ms   %s\n",
-            s.shards, s.max_queue_delay_us, s.offered_rps,
-            s.requests > 0
-                ? 100.0 * static_cast<double>(s.shed) / static_cast<double>(s.requests)
-                : 0.0,
-            s.p50_ms, s.p99_ms, s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-        serving.push_back(s);
-      }
-    }
-    // Fleet: the same closed loop through the front balancer and N
-    // socket-served workers. The interesting read is fleet vs the
-    // single-node serving rows (wire + dispatch overhead) and how
-    // throughput scales with the worker count.
-    const std::size_t fleet_per_client = smoke ? 50 : 200;
-    const std::vector<std::size_t> worker_counts =
-        smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{1, 2, 4};
-    for (std::size_t workers : worker_counts) {
-      auto s = bench_serving_fleet(model, mix, workers, clients, fleet_per_client);
-      std::printf(
-          "serving-fleet      workers=%zu %8.0f req/s   p50 %6.3f ms  "
-          "p99 %6.3f ms   %s\n",
-          s.shards, s.throughput_rps, s.p50_ms, s.p99_ms,
-          s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-      serving.push_back(s);
-    }
     // obs-overhead: the observability tax — instrumented vs runtime-
-    // disabled metrics, CPU per request over ABBA blocks of 2,000 requests.
-    // perf_gate.sh enforces the <= 3% contract on this row's overhead_pct.
-    {
-      auto s = bench_serving_obs_overhead(model, mix, 2, clients, 2000, 80);
-      std::printf(
-          "serving-obs        shards=%zu  %8.0f req/s   overhead %5.2f%%   %s\n",
-          s.shards, s.throughput_rps, s.overhead_pct,
-          s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
-      serving.push_back(s);
-    }
+    // disabled metrics, CPU per request over ABBA blocks of 2,000 requests
+    // from 4 client threads on 2 shards. perf_gate.sh enforces the <= 3%
+    // contract on this row's overhead_pct.
+    auto s = bench_serving_obs_overhead(model, mix, 2, 4, 2000, 80);
+    std::printf("serving-obs        shards=%zu  %8.0f req/s   overhead %5.2f%%   %s\n",
+                s.shards, s.throughput_rps, s.overhead_pct,
+                s.bit_identical ? "bit-identical" : "OUTPUT MISMATCH");
+    serving.push_back(s);
   } else {
     std::fprintf(stderr, "serving bench: model training failed, section skipped\n");
   }

@@ -1,39 +1,27 @@
 #include "fleet/balancer.hpp"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <future>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <system_error>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/log.hpp"
 #include "common/net.hpp"
-#include "common/queue.hpp"
+#include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 
 namespace repro::fleet {
 
 namespace {
-
-common::Error errno_error(const std::string& what) {
-  return common::io_error(what + ": " + std::strerror(errno));
-}
 
 bool write_all(int fd, std::string_view data, std::chrono::milliseconds timeout) {
   return common::net::write_all(fd, data, timeout).status ==
@@ -70,6 +58,9 @@ std::string endpoint_name(const BackendEndpoint& endpoint) {
 
 }  // namespace
 
+/// The front's side of the connection core: a predict request is forwarded
+/// to a backend worker, a chunk stream is routed to one and forwarded frame
+/// by frame, and the worker's WireResponse comes back as the reply.
 struct Balancer::Impl {
   /// One forwarded request. `request` keeps the client-side id; the copy
   /// sent to a backend gets that backend's id, so the entry can move
@@ -89,7 +80,7 @@ struct Balancer::Impl {
     bool streamed = false;
     /// Non-null when the client asked to be traced: balancer-side stages
     /// (parse/dispatch/redispatch) stamped against this balancer's own
-    /// clock; the connection writer merges the worker's stages in and adds
+    /// clock; reply() merges the worker's stages in and adds
     /// balancer.reply.
     obs::RequestTracePtr trace;
     std::promise<serve::WireResponse> promise;
@@ -103,7 +94,7 @@ struct Balancer::Impl {
     /// socket write — see write_mutex.
     std::mutex state_mutex;
     int fd = -1;
-    /// Bumped on every (re)connect; a dispatcher that registered against an
+    /// Bumped on every (re)connect; a sender that registered against an
     /// older generation must not touch the (possibly recycled) fd.
     std::uint64_t generation = 0;
     std::atomic<bool> alive{false};
@@ -126,26 +117,26 @@ struct Balancer::Impl {
     std::chrono::milliseconds backoff{50};
   };
 
+  /// One open chunk stream of a client connection: where its frames are
+  /// being forwarded. The balancer is a pass-through — it never buffers
+  /// chunks, so peak memory per stream is one frame.
+  struct StreamRoute {
+    Backend* backend = nullptr;
+    std::uint64_t backend_id = 0;
+    std::uint64_t generation = 0;
+    PendingPtr pending;
+    bool broken = false;  // forwarding failed; End still surfaces the error
+  };
+
+  // The connection core's owner interface (serve/connection.hpp).
+  using Response = serve::WireResponse;
+  using Stream = StreamRoute;
+  static constexpr std::string_view kParseStage = "balancer.parse";
+
   BalancerOptions options;
-  /// Resolved buffer pool (options.buffer_pool or the process-global one);
-  /// backs every splitter's input buffer on both sides of the balancer.
-  common::BufferPool* pool = nullptr;
   std::vector<std::unique_ptr<Backend>> backends;
   std::atomic<std::size_t> rr_next{0};
   std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();
-
-  int listen_fd = -1;
-  int bound_tcp_port = -1;
-  std::string bound_unix_path;
-
-  struct Conn {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  std::thread acceptor;
-  std::mutex conn_mutex;
-  std::list<std::unique_ptr<Conn>> conns;
 
   std::thread maintenance;
   std::atomic<bool> stopping{false};
@@ -154,22 +145,19 @@ struct Balancer::Impl {
   /// The balancer's own metrics — never shared with a worker's, so an
   /// in-process fleet cannot double-count when a "metrics" scrape merges
   /// backend snapshots with these. Instrument pointers are resolved once at
-  /// start; point-in-time gauges are set at scrape time by gather_metrics.
+  /// start; point-in-time gauges are set at scrape time by metrics().
   obs::Registry registry;
-  obs::Counter* obs_connections = nullptr;
   obs::Counter* obs_requests = nullptr;
-  obs::Counter* obs_protocol_errors = nullptr;
   obs::Counter* obs_dispatches = nullptr;
   obs::Counter* obs_redispatches = nullptr;
   obs::Counter* obs_backend_failures = nullptr;
   obs::Counter* obs_reconnects = nullptr;
-  /// High-water mark, across finished client connections, of bytes
-  /// buffered for one message (same contract as the worker's gauge).
-  obs::Gauge* obs_peak_message_bytes = nullptr;
 
-  void accept_loop();
-  void serve_connection(int fd);
-  void reap_finished_locked();
+  /// Client connections: their options (the buffer pool behind every
+  /// splitter on both sides of the balancer lives here too) and listener.
+  serve::ConnectionOptions connection;
+  std::unique_ptr<serve::Listener> listener;
+
   void maintenance_loop();
 
   void start_reader(Backend& backend);
@@ -178,18 +166,51 @@ struct Balancer::Impl {
   Backend* pick_backend(bool need_binary = false);
   void dispatch(const PendingPtr& pending);
   void fail_pending(const PendingPtr& pending, const common::Error& error);
+
+  /// What send() did with one pending entry.
+  struct Sent {
+    enum Status {
+      kOk,         // registered and written
+      kNotAlive,   // the backend was down; nothing registered
+      kFailed,     // the write failed; the entry is reclaimed
+      kOrphaned,   // the write failed and the teardown owns the entry now
+    } status = kOk;
+    std::uint64_t backend_id = 0;
+    std::uint64_t generation = 0;
+  };
+  /// Register `pending` on `backend` under a fresh backend id, then write
+  /// the bytes `encode(backend_id, binary)` returns for the backend's
+  /// framing. On a failed write, reclaim the entry (unless the teardown got
+  /// there first) and shut the fd down so the backend reader runs the
+  /// teardown.
+  template <class Encode>
+  Sent send(Backend& backend, const PendingPtr& pending, Encode&& encode);
+  /// Write `bytes` under write_mutex (client connections share the one
+  /// backend connection) and the generation check (a sender that lost a
+  /// race with a reconnect stays off the new connection's fd).
+  bool write_to_backend(Backend& backend, std::uint64_t generation,
+                        std::string_view bytes);
   void send_health_ping(Backend& backend);
-  /// Register + write a balancer-originated request addressed to this one
-  /// backend, bypassing pick_backend — health pings and metrics scrapes are
-  /// per-backend by nature. Sent as a JSON line (framing is detected per
-  /// message, so it interleaves safely with binary traffic). On failure the
-  /// entry is reclaimed, the reader is woken to run the teardown, and the
-  /// pending promise resolves with a retryable error.
+  /// Send a balancer-originated request to this one backend, bypassing
+  /// pick_backend — health pings and metrics scrapes are per-backend by
+  /// nature. Sent as a JSON line (framing is detected per message, so it
+  /// interleaves safely with binary traffic). On failure the pending
+  /// promise resolves with a retryable error.
   void send_to_backend(Backend& backend, const PendingPtr& pending);
+  [[nodiscard]] double uptime_s() const;
+
+  // --- connection owner (one client connection's thread) ---
+  serve::WireHealth health();
   /// One bounded round of per-backend "metrics" scrapes, merged with the
   /// balancer's own registry.
-  [[nodiscard]] serve::WireMetrics gather_metrics();
-  [[nodiscard]] double uptime_s() const;
+  serve::WireMetrics metrics();
+  std::future<Response> submit(serve::WireRequest request,
+                               const obs::RequestTracePtr& trace);
+  common::Result<StreamRoute> open_stream(serve::binary::SourceBegin begin);
+  void feed(StreamRoute& route, std::string_view bytes);
+  std::future<Response> finish(StreamRoute& route);
+  void abort(StreamRoute& route);
+  serve::ReplyView reply(Response& response, obs::RequestTracePtr& trace);
 };
 
 Balancer::Balancer() : impl_(std::make_unique<Impl>()) {}
@@ -202,17 +223,25 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   std::unique_ptr<Balancer> balancer(new Balancer());
   Impl& impl = *balancer->impl_;
   impl.options = options;
-  impl.pool = options.buffer_pool != nullptr ? options.buffer_pool
-                                             : &common::BufferPool::global();
   obs::Registry& registry = impl.registry;
-  impl.obs_connections = registry.counter("repro_balancer_connections_total");
   impl.obs_requests = registry.counter("repro_balancer_requests_total");
-  impl.obs_protocol_errors = registry.counter("repro_balancer_protocol_errors_total");
   impl.obs_dispatches = registry.counter("repro_balancer_dispatches_total");
   impl.obs_redispatches = registry.counter("repro_balancer_redispatches_total");
   impl.obs_backend_failures = registry.counter("repro_balancer_backend_failures_total");
   impl.obs_reconnects = registry.counter("repro_balancer_reconnects_total");
-  impl.obs_peak_message_bytes = registry.gauge("repro_balancer_peak_message_bytes");
+  serve::ConnectionOptions& connection = impl.connection;
+  connection.name = "Balancer";
+  connection.max_line_bytes = options.max_line_bytes;
+  // The balancer negotiates for itself: its client-facing connections
+  // always speak both framings, whatever the workers speak.
+  connection.enable_binary = true;
+  connection.max_inflight = options.max_inflight;
+  connection.write_timeout = options.io_timeout;
+  connection.pool = options.buffer_pool != nullptr ? options.buffer_pool
+                                                   : &common::BufferPool::global();
+  connection.connections = registry.counter("repro_balancer_connections_total");
+  connection.protocol_errors = registry.counter("repro_balancer_protocol_errors_total");
+  connection.peak_message_bytes = registry.gauge("repro_balancer_peak_message_bytes");
 
   // Backends first: a balancer that cannot reach its fleet should fail
   // loudly at startup, not accept clients it cannot serve. The connect
@@ -230,59 +259,12 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   }
   for (auto& backend : impl.backends) impl.start_reader(*backend);
 
-  // Client-facing listener (mirrors SocketServer::start).
-  int fd = -1;
-  if (!options.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options.unix_path.size() >= sizeof(addr.sun_path)) {
-      return common::invalid_argument("Balancer: unix path too long: " +
-                                      options.unix_path);
-    }
-    std::strncpy(addr.sun_path, options.unix_path.c_str(), sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return errno_error("Balancer: socket(AF_UNIX)");
-    ::unlink(options.unix_path.c_str());
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      auto err = errno_error("Balancer: bind(" + options.unix_path + ")");
-      ::close(fd);
-      return err;
-    }
-    impl.bound_unix_path = options.unix_path;
-  } else if (options.tcp_port >= 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return errno_error("Balancer: socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(options.tcp_port));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      auto err = errno_error("Balancer: bind(127.0.0.1:" +
-                             std::to_string(options.tcp_port) + ")");
-      ::close(fd);
-      return err;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-      auto err = errno_error("Balancer: getsockname");
-      ::close(fd);
-      return err;
-    }
-    impl.bound_tcp_port = static_cast<int>(ntohs(bound.sin_port));
-  } else {
-    return common::invalid_argument("Balancer: configure either unix_path or tcp_port");
-  }
-  if (::listen(fd, 64) != 0) {
-    auto err = errno_error("Balancer: listen");
-    ::close(fd);
-    return err;
-  }
-  impl.listen_fd = fd;
-  impl.acceptor = std::thread([&impl] { impl.accept_loop(); });
-  impl.maintenance = std::thread([&impl] { impl.maintenance_loop(); });
+  auto listener = serve::Listener::start(
+      connection.name, options.unix_path, options.tcp_port,
+      [owner = &impl](int fd) { serve::serve_connection(fd, *owner, owner->connection); });
+  if (!listener.ok()) return listener.error();
+  impl.listener = std::move(listener).take();
+  impl.maintenance = std::thread([owner = &impl] { owner->maintenance_loop(); });
   return balancer;
 }
 
@@ -295,7 +277,7 @@ void Balancer::Impl::start_reader(Backend& backend) {
 void Balancer::Impl::backend_reader(Backend& backend) {
   const int fd = backend.fd;  // stable for this reader's lifetime
   serve::MessageSplitter splitter(options.max_line_bytes, /*accept_binary=*/true,
-                                  pool);
+                                  connection.pool);
   char chunk[4096];
   bool read_loop_done = false;
   // Progress-based liveness: read in short ticks; a backend that stays
@@ -445,6 +427,48 @@ void Balancer::Impl::fail_pending(const PendingPtr& pending,
   pending->promise.set_value(std::move(response));
 }
 
+template <class Encode>
+Balancer::Impl::Sent Balancer::Impl::send(Backend& backend, const PendingPtr& pending,
+                                          Encode&& encode) {
+  Sent sent;
+  {
+    std::lock_guard lock(backend.state_mutex);
+    if (!backend.alive.load(std::memory_order_relaxed)) {
+      sent.status = Sent::kNotAlive;
+      return sent;
+    }
+    sent.backend_id = backend.next_id++;
+    sent.generation = backend.generation;
+    backend.pending.emplace(sent.backend_id, pending);
+  }
+  backend.outstanding.fetch_add(1, std::memory_order_relaxed);
+  const std::string bytes =
+      encode(sent.backend_id, backend.binary.load(std::memory_order_acquire));
+  if (write_to_backend(backend, sent.generation, bytes)) return sent;
+  // The worker died between pick and write. Wake the reader so the teardown
+  // runs, and reclaim the entry unless the teardown already did — then the
+  // teardown owns its re-dispatch or failure, and must not see it doubled.
+  bool ours = false;
+  {
+    std::lock_guard lock(backend.state_mutex);
+    ours = backend.pending.erase(sent.backend_id) > 0;
+    if (backend.generation == sent.generation && backend.fd >= 0) {
+      ::shutdown(backend.fd, SHUT_RDWR);
+    }
+  }
+  if (ours) backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  sent.status = ours ? Sent::kFailed : Sent::kOrphaned;
+  return sent;
+}
+
+bool Balancer::Impl::write_to_backend(Backend& backend, std::uint64_t generation,
+                                      std::string_view bytes) {
+  std::lock_guard wlock(backend.write_mutex);
+  std::lock_guard slock(backend.state_mutex);
+  if (backend.generation != generation || backend.fd < 0) return false;
+  return write_all(backend.fd, bytes, options.io_timeout);
+}
+
 void Balancer::Impl::dispatch(const PendingPtr& pending) {
   for (;;) {
     if (stopping.load(std::memory_order_acquire)) {
@@ -485,102 +509,38 @@ void Balancer::Impl::dispatch(const PendingPtr& pending) {
     ++pending->attempts;
     obs::stamp(pending->trace, pending->attempts == 1 ? "balancer.dispatch"
                                                       : "balancer.redispatch");
-
-    std::uint64_t backend_id = 0;
-    std::uint64_t generation = 0;
-    {
-      std::lock_guard lock(backend->state_mutex);
-      if (!backend->alive.load(std::memory_order_relaxed)) continue;
-      backend_id = backend->next_id++;
-      generation = backend->generation;
-      backend->pending.emplace(backend_id, pending);
-    }
-    backend->outstanding.fetch_add(1, std::memory_order_relaxed);
-
-    serve::WireRequest request = pending->request;
-    request.id = backend_id;
-    if (request.deadline_ms.has_value()) request.deadline_ms = remaining_ms;
-    // Speak the backend's negotiated framing; the request itself is
-    // framing-agnostic, so JSON clients ride binary backends and vice versa.
-    std::string line;
-    if (backend->binary.load(std::memory_order_acquire)) {
-      line = serve::binary::format_request_frame(request);
-    } else {
-      line = serve::format_request(request);
+    const Sent sent = send(*backend, pending, [&](std::uint64_t backend_id, bool binary) {
+      serve::WireRequest request = pending->request;
+      request.id = backend_id;
+      if (request.deadline_ms.has_value()) request.deadline_ms = remaining_ms;
+      // Speak the backend's negotiated framing; the request itself is
+      // framing-agnostic, so JSON clients ride binary backends and vice versa.
+      if (binary) return serve::binary::format_request_frame(request);
+      std::string line = serve::format_request(request);
       line.push_back('\n');
+      return line;
+    });
+    switch (sent.status) {
+      case Sent::kOk: obs_dispatches->inc(); return;
+      case Sent::kOrphaned: return;  // the teardown re-dispatches it
+      case Sent::kNotAlive:
+      case Sent::kFailed: break;     // pick again
     }
-
-    bool written = false;
-    {
-      // write_mutex serializes concurrent client connections onto the one
-      // backend connection; the generation check keeps a dispatcher that
-      // lost a race with reconnect off the new connection's fd.
-      std::lock_guard wlock(backend->write_mutex);
-      std::lock_guard slock(backend->state_mutex);
-      if (backend->generation == generation && backend->fd >= 0) {
-        written = write_all(backend->fd, line, options.io_timeout);
-      }
-    }
-    if (written) {
-      obs_dispatches->inc();
-      return;
-    }
-    // Write failed (worker died between pick and write). Wake the reader so
-    // teardown runs, reclaim the entry if teardown has not already — if it
-    // has, teardown owns the re-dispatch and this loop must not double it.
-    bool ours = false;
-    {
-      std::lock_guard lock(backend->state_mutex);
-      ours = backend->pending.erase(backend_id) > 0;
-      if (backend->generation == generation && backend->fd >= 0) {
-        ::shutdown(backend->fd, SHUT_RDWR);
-      }
-    }
-    if (!ours) return;
-    backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 void Balancer::Impl::send_to_backend(Backend& backend, const PendingPtr& pending) {
-  std::uint64_t backend_id = 0;
-  std::uint64_t generation = 0;
-  {
-    std::lock_guard lock(backend.state_mutex);
-    if (!backend.alive.load(std::memory_order_relaxed)) {
-      fail_pending(pending, common::unavailable("Balancer: backend not alive"));
-      return;
-    }
-    backend_id = backend.next_id++;
-    generation = backend.generation;
-    backend.pending.emplace(backend_id, pending);
-  }
-  backend.outstanding.fetch_add(1, std::memory_order_relaxed);
-  serve::WireRequest request = pending->request;
-  request.id = backend_id;
-  std::string line = serve::format_request(request);
-  line.push_back('\n');
-  bool written = false;
-  {
-    std::lock_guard wlock(backend.write_mutex);
-    std::lock_guard slock(backend.state_mutex);
-    if (backend.generation == generation && backend.fd >= 0) {
-      written = write_all(backend.fd, line, options.io_timeout);
-    }
-  }
-  if (!written) {
-    bool ours = false;
-    {
-      std::lock_guard lock(backend.state_mutex);
-      ours = backend.pending.erase(backend_id) > 0;
-      if (backend.generation == generation && backend.fd >= 0) {
-        ::shutdown(backend.fd, SHUT_RDWR);  // reader runs the teardown
-      }
-    }
-    if (ours) {
-      backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      fail_pending(pending,
-                   common::unavailable("Balancer: backend write failed"));
-    }
+  const Sent sent = send(backend, pending, [&](std::uint64_t backend_id, bool /*binary*/) {
+    serve::WireRequest request = pending->request;
+    request.id = backend_id;
+    std::string line = serve::format_request(request);
+    line.push_back('\n');
+    return line;
+  });
+  if (sent.status == Sent::kNotAlive) {
+    fail_pending(pending, common::unavailable("Balancer: backend not alive"));
+  } else if (sent.status == Sent::kFailed) {
+    fail_pending(pending, common::unavailable("Balancer: backend write failed"));
   }
 }
 
@@ -591,7 +551,7 @@ void Balancer::Impl::send_health_ping(Backend& backend) {
   send_to_backend(backend, pending);
 }
 
-serve::WireMetrics Balancer::Impl::gather_metrics() {
+serve::WireMetrics Balancer::Impl::metrics() {
   // Scrape every live worker over its existing backend connection. The
   // pending entries are marked streamed so they can never re-dispatch — a
   // snapshot is per-backend; moving it would answer for the wrong worker —
@@ -740,488 +700,122 @@ void Balancer::Impl::maintenance_loop() {
   }
 }
 
-// --- client side --------------------------------------------------------------
-
-void Balancer::Impl::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      const int err = errno;
-      if (err == EINTR) continue;
-      if (stopping.load(std::memory_order_acquire)) return;
-      if (err == ECONNABORTED || err == EMFILE || err == ENFILE) {
-        common::log_warn() << "Balancer: accept: " << std::strerror(err);
-        if (err != ECONNABORTED) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        continue;
-      }
-      common::log_error() << "Balancer: accept failed permanently: "
-                          << std::strerror(err) << "; no longer accepting";
-      return;
-    }
-    std::lock_guard lock(conn_mutex);
-    if (stopping.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    reap_finished_locked();
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    try {
-      raw->thread = std::thread([this, raw] {
-        serve_connection(raw->fd);
-        ::shutdown(raw->fd, SHUT_RDWR);
-        {
-          std::lock_guard lock(conn_mutex);
-          reap_finished_locked();
-        }
-        raw->done.store(true, std::memory_order_release);
-      });
-    } catch (const std::system_error& e) {
-      // Same refusal as SocketServer::accept_loop.
-      conns.pop_back();
-      ::close(fd);
-      common::log_warn() << "Balancer: cannot start a connection thread ("
-                         << e.what() << "); connection closed";
-    }
-  }
-}
-
-void Balancer::Impl::reap_finished_locked() {
-  for (auto it = conns.begin(); it != conns.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      ::close((*it)->fd);
-      it = conns.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 double Balancer::Impl::uptime_s() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
       .count();
 }
 
-void Balancer::Impl::serve_connection(int fd) {
-  // Counted on the connection thread, like SocketServer: the count includes
-  // this connection before any of its requests is answered.
-  obs_connections->inc();
-  // Same pipelined reader/writer split as SocketServer::serve_connection:
-  // in-order reply queue, bounded by max_inflight. The difference is where
-  // a reply comes from — a promise fulfilled by whichever backend reader
-  // ends up holding the request. Replies mirror their request's framing.
-  struct PendingReply {
-    std::uint64_t id = 0;
-    bool binary = false;
-    std::optional<std::future<serve::WireResponse>> response;
-    std::string immediate;
-    /// The forwarded request's balancer-side trace; the writer merges the
-    /// worker's stages into it and stamps balancer.reply.
-    obs::RequestTracePtr trace;
-  };
-  common::BoundedQueue<PendingReply> replies(
-      std::max<std::size_t>(1, options.max_inflight));
-  std::atomic<bool> write_failed{false};
-  const auto write_replies = [&] {
-    while (auto pending = replies.pop()) {
-      if (write_failed.load(std::memory_order_relaxed)) continue;  // drain only
-      std::string reply;
-      if (pending->response.has_value()) {
-        serve::WireResponse response = pending->response->get();
-        // Merge order: balancer pre-dispatch stages, the worker's stage
-        // table (offsets against the WORKER's clock — per-hop, never
-        // rebased), then balancer.reply against this balancer's clock.
-        std::optional<obs::Trace> trace;
-        if (pending->trace != nullptr) {
-          if (response.trace.has_value()) {
-            pending->trace->append(response.trace->stages);
-          }
-          pending->trace->stamp("balancer.reply");
-          trace = pending->trace->snapshot();
-        }
-        const obs::Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
-        const common::Error malformed =
-            common::internal_error("Balancer: malformed backend reply");
-        if (pending->binary) {
-          if (response.prediction.has_value()) {
-            reply = serve::binary::format_prediction_frame(
-                pending->id, *response.prediction, trace_ptr);
-          } else if (response.error.has_value()) {
-            reply = serve::binary::format_error_frame(pending->id, *response.error,
-                                                      trace_ptr);
-          } else {
-            reply = serve::binary::format_error_frame(pending->id, malformed);
-          }
-        } else {
-          if (response.prediction.has_value()) {
-            reply = serve::format_response(pending->id, *response.prediction,
-                                           trace_ptr);
-          } else if (response.error.has_value()) {
-            reply = serve::format_error(pending->id, *response.error, trace_ptr);
-          } else {
-            reply = serve::format_error(pending->id, malformed);
-          }
-        }
-      } else {
-        reply = std::move(pending->immediate);
-      }
-      if (!pending->binary) reply.push_back('\n');
-      if (!write_all(fd, reply, options.io_timeout)) {
-        write_failed.store(true, std::memory_order_relaxed);
-        ::shutdown(fd, SHUT_RD);
-      }
-    }
-  };
-  std::thread writer;
-  try {
-    writer = std::thread(write_replies);
-  } catch (const std::system_error& e) {
-    common::log_warn() << "Balancer: cannot start a reply writer (" << e.what()
-                       << "); connection closed";
-    return;
+// --- client side: the connection core's owner ----------------------------------
+
+serve::WireHealth Balancer::Impl::health() {
+  // The balancer answers for itself — a client asking the fleet endpoint
+  // for health wants the fleet front, not one worker.
+  std::size_t outstanding = 0;
+  for (const auto& backend : backends) {
+    outstanding += backend->outstanding.load(std::memory_order_relaxed);
   }
+  return {uptime_s(), outstanding};
+}
 
-  auto count_protocol_error = [&] { obs_protocol_errors->inc(); };
-  // Writes one frame to a routed stream's backend under the same
-  // generation-checked double-mutex discipline as dispatch(). Returns false
-  // when the backend is gone (caller marks the route broken).
-  auto write_to_backend = [&](Backend& backend, std::uint64_t generation,
-                              std::string_view bytes) {
-    std::lock_guard wlock(backend.write_mutex);
-    std::lock_guard slock(backend.state_mutex);
-    if (backend.generation != generation || backend.fd < 0) return false;
-    return write_all(backend.fd, bytes, options.io_timeout);
-  };
+std::future<serve::WireResponse> Balancer::Impl::submit(
+    serve::WireRequest request, const obs::RequestTracePtr& trace) {
+  obs_requests->inc();
+  auto forwarded = std::make_shared<Pending>();
+  forwarded->request = std::move(request);
+  forwarded->arrival = std::chrono::steady_clock::now();
+  forwarded->trace = trace;
+  auto future = forwarded->promise.get_future();
+  dispatch(forwarded);
+  return future;
+}
 
-  // One live chunk stream per client request id: where its frames are being
-  // forwarded. The balancer is a pass-through — it never buffers chunks, so
-  // peak memory per stream is one frame.
-  struct StreamRoute {
-    Backend* backend = nullptr;
-    std::uint64_t backend_id = 0;
-    std::uint64_t generation = 0;
-    PendingPtr pending;
-    bool broken = false;  // forwarding failed; End still surfaces the error
-  };
-  std::unordered_map<std::uint64_t, StreamRoute> routes;
-
-  // Decoded WireRequests from either framing meet here.
-  auto handle_request = [&](serve::WireRequest wire, bool is_binary) {
-    PendingReply pending;
-    pending.binary = is_binary;
-    pending.id = wire.id;
-    if (wire.kind == serve::RequestKind::kHello) {
-      // The balancer negotiates for itself: its client-facing connection
-      // always speaks both framings, whatever the workers speak.
-      const std::uint32_t negotiated =
-          std::min(wire.max_protocol, serve::kProtocolVersion);
-      pending.immediate =
-          is_binary ? serve::binary::format_hello_frame(wire.id, negotiated)
-                    : serve::format_hello_response(wire.id, negotiated);
-      replies.push(std::move(pending));
-      return;
+common::Result<Balancer::Impl::StreamRoute> Balancer::Impl::open_stream(
+    serve::binary::SourceBegin begin) {
+  obs_requests->inc();
+  auto entry = std::make_shared<Pending>();
+  entry->streamed = true;
+  entry->request.id = begin.id;
+  entry->request.kind = serve::RequestKind::kPredictSource;
+  entry->request.deadline_ms = begin.deadline_ms;
+  entry->arrival = std::chrono::steady_clock::now();
+  // Route selection retries write failures like dispatch(), but only for
+  // the Begin frame — once a chunk has been forwarded the stream is pinned
+  // to its backend.
+  while (entry->attempts < options.max_dispatch_attempts &&
+         !stopping.load(std::memory_order_acquire)) {
+    Backend* backend = pick_backend(/*need_binary=*/true);
+    if (backend == nullptr) break;
+    ++entry->attempts;
+    const Sent sent = send(*backend, entry, [&](std::uint64_t backend_id, bool /*binary*/) {
+      serve::binary::SourceBegin forward;
+      forward.id = backend_id;
+      forward.kernel = begin.kernel;
+      forward.deadline_ms = begin.deadline_ms;
+      return serve::binary::format_source_begin(forward);
+    });
+    if (sent.status == Sent::kOk || sent.status == Sent::kOrphaned) {
+      // An orphaned entry was already failed retryably by the teardown: the
+      // route starts broken, and End collects that error in order.
+      return StreamRoute{backend, sent.backend_id, sent.generation, entry,
+                         /*broken=*/sent.status == Sent::kOrphaned};
     }
-    if (wire.kind == serve::RequestKind::kHealth) {
-      // The balancer answers for itself — a client asking the fleet
-      // endpoint for health wants the fleet front, not one worker.
-      std::size_t outstanding = 0;
-      for (const auto& backend : backends) {
-        outstanding += backend->outstanding.load(std::memory_order_relaxed);
-      }
-      const serve::WireHealth health{uptime_s(), outstanding};
-      pending.immediate = is_binary ? serve::binary::format_health_frame(wire.id, health)
-                                    : serve::format_health_response(wire.id, health);
-      replies.push(std::move(pending));
-      return;
-    }
-    if (wire.kind == serve::RequestKind::kMetrics) {
-      // Aggregation runs on this reader thread: scrapes come from dedicated
-      // monitoring connections (repro_top), and the gather is bounded, so
-      // stalling this connection's decode briefly is fine.
-      const serve::WireMetrics merged = gather_metrics();
-      pending.immediate = is_binary
-                              ? serve::binary::format_metrics_frame(wire.id, merged)
-                              : serve::format_metrics_response(wire.id, merged);
-      replies.push(std::move(pending));
-      return;
-    }
-    obs_requests->inc();
-    auto forwarded = std::make_shared<Pending>();
-    forwarded->request = std::move(wire);
-    forwarded->arrival = std::chrono::steady_clock::now();
-    if (forwarded->request.trace.has_value()) {
-      forwarded->trace =
-          std::make_shared<obs::RequestTrace>(*forwarded->request.trace);
-      forwarded->trace->stamp("balancer.parse");
-      pending.trace = forwarded->trace;
-    }
-    pending.response = forwarded->promise.get_future();
-    // Push before dispatch: the queue bound is the pipelining window, and
-    // it must count this request before the next message is decoded.
-    replies.push(std::move(pending));
-    dispatch(forwarded);
-  };
-
-  serve::MessageSplitter splitter(options.max_line_bytes, /*accept_binary=*/true,
-                                  pool);
-  // Backs the intermediate JSON document inside parse_request; reset after
-  // every message (the decoded WireRequest owns plain heap strings).
-  common::Arena arena;
-  char chunk[4096];
-  bool framing_fault = false;
-  for (;;) {
-    // Blocking (timeout 0): an idle client connection is legitimate.
-    const auto rd = common::net::read_some(fd, chunk, sizeof chunk,
-                                           std::chrono::milliseconds(0));
-    if (rd.status != common::net::IoStatus::kOk) break;
-    splitter.feed(std::string_view(chunk, rd.bytes));
-
-    for (;;) {
-      auto next = splitter.next();
-      if (!next.ok()) {
-        count_protocol_error();
-        PendingReply pending;
-        pending.immediate = serve::format_error(0, next.error());
-        replies.push(std::move(pending));
-        framing_fault = true;
-        break;
-      }
-      if (!next.value().has_value()) break;  // need more bytes
-      serve::WireMessage message = std::move(*next.value());
-
-      if (!message.binary) {
-        auto request = serve::parse_request(message.payload, &arena);
-        if (!request.ok()) {
-          count_protocol_error();
-          PendingReply pending;
-          pending.id = serve::best_effort_id(message.payload);
-          pending.immediate = serve::format_error(pending.id, request.error());
-          replies.push(std::move(pending));
-        } else {
-          handle_request(std::move(request).take(), /*is_binary=*/false);
-        }
-        arena.reset();
-        continue;
-      }
-
-      switch (message.frame) {
-        case serve::binary::FrameType::kRequest: {
-          auto request = serve::binary::parse_request(message.payload);
-          if (!request.ok()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = serve::binary::best_effort_id(message.payload);
-            pending.immediate =
-                serve::binary::format_error_frame(pending.id, request.error());
-            replies.push(std::move(pending));
-          } else {
-            handle_request(std::move(request).take(), /*is_binary=*/true);
-          }
-          break;
-        }
-        case serve::binary::FrameType::kSourceBegin: {
-          auto begin = serve::binary::parse_source_begin(message.payload);
-          if (!begin.ok()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = serve::binary::best_effort_id(message.payload);
-            pending.immediate =
-                serve::binary::format_error_frame(pending.id, begin.error());
-            replies.push(std::move(pending));
-            break;
-          }
-          auto& open = begin.value();
-          if (routes.find(open.id) != routes.end()) {
-            count_protocol_error();
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = open.id;
-            pending.immediate = serve::binary::format_error_frame(
-                open.id, common::parse_error("binary: duplicate stream id"));
-            replies.push(std::move(pending));
-            break;
-          }
-          obs_requests->inc();
-          auto pending_entry = std::make_shared<Pending>();
-          pending_entry->streamed = true;
-          pending_entry->request.id = open.id;
-          pending_entry->request.kind = serve::RequestKind::kPredictSource;
-          pending_entry->request.deadline_ms = open.deadline_ms;
-          pending_entry->arrival = std::chrono::steady_clock::now();
-          // Route selection retries write failures like dispatch(), but only
-          // for the Begin frame — once a chunk has been forwarded the stream
-          // is pinned to its backend.
-          StreamRoute route;
-          route.pending = pending_entry;
-          bool routed = false;
-          while (pending_entry->attempts < options.max_dispatch_attempts &&
-                 !stopping.load(std::memory_order_acquire)) {
-            Backend* backend = pick_backend(/*need_binary=*/true);
-            if (backend == nullptr) break;
-            ++pending_entry->attempts;
-            std::uint64_t backend_id = 0;
-            std::uint64_t generation = 0;
-            {
-              std::lock_guard lock(backend->state_mutex);
-              if (!backend->alive.load(std::memory_order_relaxed)) continue;
-              backend_id = backend->next_id++;
-              generation = backend->generation;
-              backend->pending.emplace(backend_id, pending_entry);
-            }
-            backend->outstanding.fetch_add(1, std::memory_order_relaxed);
-            serve::binary::SourceBegin fwd;
-            fwd.id = backend_id;
-            fwd.kernel = open.kernel;
-            fwd.deadline_ms = open.deadline_ms;
-            if (write_to_backend(*backend, generation,
-                                 serve::binary::format_source_begin(fwd))) {
-              route.backend = backend;
-              route.backend_id = backend_id;
-              route.generation = generation;
-              routed = true;
-              break;
-            }
-            bool ours = false;
-            {
-              std::lock_guard lock(backend->state_mutex);
-              ours = backend->pending.erase(backend_id) > 0;
-              if (backend->generation == generation && backend->fd >= 0) {
-                ::shutdown(backend->fd, SHUT_RDWR);
-              }
-            }
-            if (ours) backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (!routed) {
-            PendingReply pending;
-            pending.binary = true;
-            pending.id = open.id;
-            pending.immediate = serve::binary::format_error_frame(
-                open.id,
-                common::unavailable("Balancer: no stream-capable worker"));
-            replies.push(std::move(pending));
-            break;
-          }
-          routes.emplace(open.id, std::move(route));
-          break;
-        }
-        case serve::binary::FrameType::kSourceChunk: {
-          auto source_chunk = serve::binary::parse_source_chunk(message.payload);
-          if (!source_chunk.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(source_chunk.value().id);
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (route.broken) break;  // error already owed at End
-          if (!write_to_backend(*route.backend, route.generation,
-                                serve::binary::format_source_chunk(
-                                    route.backend_id, source_chunk.value().data))) {
-            // Backend died mid-stream: the teardown fails the pending entry
-            // with a retryable error; stop forwarding, keep the route so the
-            // client's End still collects that error in order.
-            route.broken = true;
-          }
-          break;
-        }
-        case serve::binary::FrameType::kSourceEnd: {
-          auto end = serve::binary::parse_source_end(message.payload);
-          if (!end.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(end.value());
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (!route.broken &&
-              !write_to_backend(*route.backend, route.generation,
-                                serve::binary::format_source_end(route.backend_id))) {
-            route.broken = true;
-          }
-          // The reply slot is taken at End — matching the worker, which also
-          // answers streams at End; a broken route's promise is resolved by
-          // the backend teardown, never left dangling.
-          PendingReply pending;
-          pending.binary = true;
-          pending.id = end.value();
-          pending.response = route.pending->promise.get_future();
-          routes.erase(it);
-          replies.push(std::move(pending));
-          break;
-        }
-        case serve::binary::FrameType::kSourceAbort: {
-          auto abort = serve::binary::parse_source_abort(message.payload);
-          if (!abort.ok()) {
-            count_protocol_error();
-            break;
-          }
-          auto it = routes.find(abort.value());
-          if (it == routes.end()) {
-            count_protocol_error();
-            break;
-          }
-          StreamRoute& route = it->second;
-          if (!route.broken) {
-            (void)write_to_backend(*route.backend, route.generation,
-                                   serve::binary::format_source_abort(route.backend_id));
-          }
-          // The worker never answers an abort — reclaim the pending entry
-          // ourselves (backend ids are never reused, so a stale erase is a
-          // harmless no-op).
-          {
-            std::lock_guard lock(route.backend->state_mutex);
-            if (route.backend->pending.erase(route.backend_id) > 0) {
-              route.backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
-            }
-          }
-          routes.erase(it);
-          break;
-        }
-        case serve::binary::FrameType::kResponse: {
-          count_protocol_error();
-          PendingReply pending;
-          pending.binary = true;
-          pending.id = serve::binary::best_effort_id(message.payload);
-          pending.immediate = serve::binary::format_error_frame(
-              pending.id,
-              common::parse_error("binary: unexpected response frame"));
-          replies.push(std::move(pending));
-          break;
-        }
-      }
-    }
-    if (framing_fault) break;
   }
-  // A connection that dies with open streams: tell their backends to drop
-  // the half-streamed requests (best effort) and reclaim the entries, so a
+  return common::unavailable("Balancer: no stream-capable worker");
+}
+
+void Balancer::Impl::feed(StreamRoute& route, std::string_view bytes) {
+  if (route.broken) return;  // error already owed at End
+  if (!write_to_backend(*route.backend, route.generation,
+                        serve::binary::format_source_chunk(route.backend_id, bytes))) {
+    // Backend died mid-stream: the teardown fails the pending entry with a
+    // retryable error; stop forwarding, keep the route so the client's End
+    // still collects that error in order.
+    route.broken = true;
+  }
+}
+
+std::future<serve::WireResponse> Balancer::Impl::finish(StreamRoute& route) {
+  if (!route.broken &&
+      !write_to_backend(*route.backend, route.generation,
+                        serve::binary::format_source_end(route.backend_id))) {
+    route.broken = true;
+  }
+  // A broken route's promise is resolved by the backend teardown, never
+  // left dangling.
+  return route.pending->promise.get_future();
+}
+
+void Balancer::Impl::abort(StreamRoute& route) {
+  // Tell the backend to drop the half-streamed request (best effort), so a
   // worker never waits on chunks that can no longer arrive.
-  for (auto& [id, route] : routes) {
-    (void)id;
-    if (!route.broken) {
-      (void)write_to_backend(*route.backend, route.generation,
-                             serve::binary::format_source_abort(route.backend_id));
-    }
-    std::lock_guard lock(route.backend->state_mutex);
-    if (route.backend->pending.erase(route.backend_id) > 0) {
-      route.backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
-    }
+  if (!route.broken) {
+    (void)write_to_backend(*route.backend, route.generation,
+                           serve::binary::format_source_abort(route.backend_id));
   }
-  replies.close();
-  writer.join();
-  obs_peak_message_bytes->set_max(static_cast<double>(splitter.peak_buffered_bytes()));
+  // The worker never answers an abort — reclaim the pending entry here
+  // (backend ids are never reused, so a stale erase is a harmless no-op).
+  std::lock_guard lock(route.backend->state_mutex);
+  if (route.backend->pending.erase(route.backend_id) > 0) {
+    route.backend->outstanding.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+serve::ReplyView Balancer::Impl::reply(serve::WireResponse& response,
+                                       obs::RequestTracePtr& trace) {
+  // Merge order: balancer pre-dispatch stages, the worker's stage table
+  // (offsets against the WORKER's clock — per-hop, never rebased), then
+  // balancer.reply against this balancer's clock.
+  if (trace != nullptr) {
+    if (response.trace.has_value()) trace->append(response.trace->stages);
+    trace->stamp("balancer.reply");
+  }
+  if (response.prediction.has_value()) return {&*response.prediction, nullptr};
+  if (response.error.has_value()) return {nullptr, &*response.error};
+  // A worker reply that is neither is answered as an untraced error.
+  static const common::Error malformed =
+      common::internal_error("Balancer: malformed backend reply");
+  trace.reset();
+  return {nullptr, &malformed};
 }
 
 // --- lifecycle ----------------------------------------------------------------
@@ -1237,9 +831,7 @@ void Balancer::stop() {
     if (impl.maintenance.joinable()) impl.maintenance.join();
 
     // Listener down first: no new clients while the fleet detaches.
-    if (impl.listen_fd >= 0) ::shutdown(impl.listen_fd, SHUT_RDWR);
-    if (impl.acceptor.joinable()) impl.acceptor.join();
-    if (impl.listen_fd >= 0) ::close(impl.listen_fd);
+    if (impl.listener != nullptr) impl.listener->stop_accepting();
 
     // Backends next: readers exit, teardown fails whatever is pending with
     // "unavailable" (stopping suppresses re-dispatch), so every client
@@ -1256,24 +848,14 @@ void Balancer::stop() {
       backend->fd = -1;
     }
 
-    std::list<std::unique_ptr<Impl::Conn>> conns;
-    {
-      std::lock_guard lock(impl.conn_mutex);
-      conns.swap(impl.conns);
-    }
-    for (auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
-    for (auto& conn : conns) {
-      if (conn->thread.joinable()) conn->thread.join();
-      ::close(conn->fd);
-    }
-    if (!impl.bound_unix_path.empty()) ::unlink(impl.bound_unix_path.c_str());
+    if (impl.listener != nullptr) impl.listener->close_connections();
   });
 }
 
-int Balancer::tcp_port() const noexcept { return impl_->bound_tcp_port; }
+int Balancer::tcp_port() const noexcept { return impl_->listener->tcp_port(); }
 
 const std::string& Balancer::unix_path() const noexcept {
-  return impl_->bound_unix_path;
+  return impl_->listener->unix_path();
 }
 
 obs::Registry& Balancer::registry() const noexcept { return impl_->registry; }

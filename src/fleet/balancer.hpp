@@ -1,16 +1,23 @@
 // The fleet's front balancer: one client-facing endpoint speaking the
-// existing line-JSON protocol, dispatching every prediction request over a
+// worker's wire protocol, dispatching every prediction request over a
 // persistent backend connection to one of N repro_serve workers.
 //
 //   clients ──▶ acceptor ──▶ conn reader ─┬─▶ backend 0 (pending map, reader)
-//               (line JSON,   dispatch:   ├─▶ backend 1       …
-//                unchanged)   least-loaded└─▶ backend N-1
+//               (both         dispatch:   ├─▶ backend 1       …
+//                framings)    least-loaded└─▶ backend N-1
 //                             RR tie-break
 //
-// Request ids are rewritten per backend (each backend connection has its
-// own id space) and mapped back before the reply line is written, so
-// clients keep their own ids and strict per-connection response order —
-// the wire contract is byte-for-byte the one repro_serve speaks directly.
+// The client side is the connection core a worker runs too
+// (serve/connection.hpp): the listener, each connection's pipelined
+// reader/writer pair, hello/health/metrics, and the chunk-stream rules —
+// including the open-stream bound at max_inflight. So the wire contract is
+// byte for byte the one repro_serve speaks directly, by construction. What
+// the balancer adds is its owner side: a predict request is forwarded, a
+// chunk stream is routed to one binary-framing worker and forwarded frame
+// by frame without buffering, and the worker's reply comes back as the
+// client's. Request ids are rewritten per backend (each backend connection
+// has its own id space) and mapped back before the reply is written, so
+// clients keep their own ids and strict per-connection response order.
 //
 // Fault handling: when a backend connection drops (worker crash, graceful
 // restart) every request pending on it is re-dispatched to a live worker,
@@ -62,7 +69,8 @@ struct BalancerOptions {
   std::string unix_path;
   int tcp_port = -1;  // 0 = ephemeral, reported by tcp_port()
   std::size_t max_line_bytes = 1 << 20;
-  /// Per client connection, like ServerOptions::max_inflight.
+  /// Per client connection, like ServerOptions::max_inflight: the
+  /// pipelining window and the bound on open chunk streams.
   std::size_t max_inflight = 64;
   /// Backoff for the initial backend connects (fleet startup races).
   serve::ConnectOptions connect{8, std::chrono::milliseconds(50),
@@ -80,8 +88,9 @@ struct BalancerOptions {
   /// out — quiet is not dead. Also bounds client-facing reply writes.
   std::chrono::milliseconds io_timeout{10000};
   /// Pool behind every splitter input buffer (client connections and backend
-  /// readers). Null = common::BufferPool::global(), the same pool the worker
-  /// servers default to. Must outlive the balancer.
+  /// readers) and every client connection's reply buffer. Null =
+  /// common::BufferPool::global(), the same pool the worker servers default
+  /// to. Must outlive the balancer.
   common::BufferPool* buffer_pool = nullptr;
 };
 

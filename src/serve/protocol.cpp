@@ -394,21 +394,6 @@ common::Result<std::uint64_t> require_id(const JsonValue& doc) {
 
 }  // namespace
 
-common::Result<clfront::StaticFeatures> WireRequest::to_features() const {
-  if (features.has_value()) {
-    clfront::StaticFeatures f;
-    f.kernel_name = kernel.empty() ? "request" : kernel;
-    f.counts = *features;
-    return f;
-  }
-  if (source.has_value()) {
-    auto extracted = clfront::extract_features_from_source(*source, kernel);
-    if (!extracted.ok()) return extracted.error();
-    return std::move(extracted).take();
-  }
-  return common::invalid_argument("protocol: request has neither features nor source");
-}
-
 common::Result<WireRequest> parse_request(std::string_view line, common::Arena* arena) {
   auto doc = parse_json(line, arena);
   if (!doc.ok()) return doc.error();
@@ -667,12 +652,6 @@ void format_health_response_into(std::string& out, std::uint64_t id,
   out += "}}";
 }
 
-std::string format_health_response(std::uint64_t id, const WireHealth& health) {
-  std::string out;
-  format_health_response_into(out, id, health);
-  return out;
-}
-
 void format_metrics_response_into(std::string& out, std::uint64_t id,
                                   const WireMetrics& metrics) {
   out += "{\"id\":";
@@ -689,12 +668,6 @@ void format_metrics_response_into(std::string& out, std::uint64_t id,
   out += "}}}";
 }
 
-std::string format_metrics_response(std::uint64_t id, const WireMetrics& metrics) {
-  std::string out;
-  format_metrics_response_into(out, id, metrics);
-  return out;
-}
-
 void format_hello_response_into(std::string& out, std::uint64_t id,
                                 std::uint32_t protocol) {
   out += "{\"id\":";
@@ -702,12 +675,6 @@ void format_hello_response_into(std::string& out, std::uint64_t id,
   out += ",\"hello\":{\"protocol\":";
   append_u64(out, protocol);
   out += "}}";
-}
-
-std::string format_hello_response(std::uint64_t id, std::uint32_t protocol) {
-  std::string out;
-  format_hello_response_into(out, id, protocol);
-  return out;
 }
 
 void format_error_into(std::string& out, std::uint64_t id, const common::Error& error,
@@ -721,13 +688,6 @@ void format_error_into(std::string& out, std::uint64_t id, const common::Error& 
   out.push_back('}');
   append_trace(out, trace);
   out.push_back('}');
-}
-
-std::string format_error(std::uint64_t id, const common::Error& error,
-                         const obs::Trace* trace) {
-  std::string out;
-  format_error_into(out, id, error, trace);
-  return out;
 }
 
 common::Result<WireResponse> parse_response(std::string_view line) {
@@ -1287,13 +1247,6 @@ void format_error_frame_into(std::string& out, std::uint64_t id,
   end_frame(out, header);
 }
 
-std::string format_error_frame(std::uint64_t id, const common::Error& error,
-                               const obs::Trace* trace) {
-  std::string out;
-  format_error_frame_into(out, id, error, trace);
-  return out;
-}
-
 void format_health_frame_into(std::string& out, std::uint64_t id,
                               const WireHealth& health) {
   const std::size_t header = begin_frame(out, FrameType::kResponse);
@@ -1302,12 +1255,6 @@ void format_health_frame_into(std::string& out, std::uint64_t id,
   put_f64(out, health.uptime_s);
   put_u64(out, health.queue_depth);
   end_frame(out, header);
-}
-
-std::string format_health_frame(std::uint64_t id, const WireHealth& health) {
-  std::string out;
-  format_health_frame_into(out, id, health);
-  return out;
 }
 
 void format_metrics_frame_into(std::string& out, std::uint64_t id,
@@ -1324,12 +1271,6 @@ void format_metrics_frame_into(std::string& out, std::uint64_t id,
   end_frame(out, header);
 }
 
-std::string format_metrics_frame(std::uint64_t id, const WireMetrics& metrics) {
-  std::string out;
-  format_metrics_frame_into(out, id, metrics);
-  return out;
-}
-
 void format_hello_frame_into(std::string& out, std::uint64_t id,
                              std::uint32_t protocol) {
   const std::size_t header = begin_frame(out, FrameType::kResponse);
@@ -1337,12 +1278,6 @@ void format_hello_frame_into(std::string& out, std::uint64_t id,
   put_u8(out, kBodyHello);
   put_u32(out, protocol);
   end_frame(out, header);
-}
-
-std::string format_hello_frame(std::uint64_t id, std::uint32_t protocol) {
-  std::string out;
-  format_hello_frame_into(out, id, protocol);
-  return out;
 }
 
 common::Result<WireResponse> parse_response(std::string_view payload) {

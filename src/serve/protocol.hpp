@@ -208,11 +208,6 @@ struct WireRequest {
   /// tracing ignore the member; on the binary framing the flag is only
   /// legal at protocol >= 2, so clients gate it on the negotiated version.
   std::optional<std::uint64_t> trace;
-
-  /// The features to predict on — extracts from `source` when needed.
-  /// (The server no longer calls this for source requests: featurization
-  /// runs on the worker shards via Service::submit_source.)
-  [[nodiscard]] common::Result<clfront::StaticFeatures> to_features() const;
 };
 
 /// A "health" response: the liveness probe's two fields. Counters are not
@@ -259,9 +254,11 @@ struct WireResponse {
 /// Prediction/error responses take an optional trace to append as the
 /// ,"trace":{"id":…,"stages":[{"stage":…,"us":…},…]} member.
 ///
-/// Every formatter has an `_into` form that appends to a caller-owned
-/// buffer (the server's pooled reply buffer — no per-reply string on the
-/// hot path); the returning forms are thin wrappers and byte-identical.
+/// Every formatter appends to a caller-owned buffer (a connection's pooled
+/// reply buffer — no per-reply string on the hot path). format_response and
+/// format_request also have returning forms, byte-identical wrappers for
+/// callers that want a fresh string (the balancer's dispatch, the codec
+/// bench).
 void format_response_into(std::string& out, std::uint64_t id,
                           const core::Predictor::KernelPrediction& p,
                           const obs::Trace* trace = nullptr);
@@ -270,22 +267,15 @@ void format_response_into(std::string& out, std::uint64_t id,
                                           const obs::Trace* trace = nullptr);
 void format_error_into(std::string& out, std::uint64_t id, const common::Error& error,
                        const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_error(std::uint64_t id, const common::Error& error,
-                                       const obs::Trace* trace = nullptr);
 /// {"id":…,"health":{"status":"ok","uptime_s":…,"queue_depth":…}}
 void format_health_response_into(std::string& out, std::uint64_t id,
                                  const WireHealth& health);
-[[nodiscard]] std::string format_health_response(std::uint64_t id,
-                                                 const WireHealth& health);
 /// {"id":…,"metrics":{"text":…,"values":{…name:number…}}}
 void format_metrics_response_into(std::string& out, std::uint64_t id,
                                   const WireMetrics& metrics);
-[[nodiscard]] std::string format_metrics_response(std::uint64_t id,
-                                                  const WireMetrics& metrics);
 /// {"id":…,"hello":{"protocol":…}}
 void format_hello_response_into(std::string& out, std::uint64_t id,
                                 std::uint32_t protocol);
-[[nodiscard]] std::string format_hello_response(std::uint64_t id, std::uint32_t protocol);
 [[nodiscard]] common::Result<WireResponse> parse_response(std::string_view line);
 void format_request_into(std::string& out, const WireRequest& request);  // client side
 [[nodiscard]] std::string format_request(const WireRequest& request);    // client side
@@ -332,10 +322,10 @@ struct SourceChunk {
 /// Wrap a payload in a frame header.
 [[nodiscard]] std::string frame(FrameType type, std::string_view payload);
 
-/// Like the JSON formatters, every frame builder has an `_into` form that
-/// appends one complete frame (header included, length patched in place)
-/// to a caller-owned buffer; the returning forms are byte-identical
-/// wrappers.
+/// Like the JSON formatters, every frame builder appends one complete frame
+/// (header included, length patched in place) to a caller-owned buffer;
+/// format_request_frame and format_prediction_frame also have returning,
+/// byte-identical forms.
 void format_request_frame_into(std::string& out, const WireRequest& request);
 [[nodiscard]] std::string format_request_frame(const WireRequest& request);
 /// Like the JSON formatters, prediction/error frames take an optional
@@ -352,18 +342,11 @@ void format_prediction_frame_into(std::string& out, std::uint64_t id,
 void format_error_frame_into(std::string& out, std::uint64_t id,
                              const common::Error& error,
                              const obs::Trace* trace = nullptr);
-[[nodiscard]] std::string format_error_frame(std::uint64_t id,
-                                             const common::Error& error,
-                                             const obs::Trace* trace = nullptr);
 void format_health_frame_into(std::string& out, std::uint64_t id,
                               const WireHealth& health);
-[[nodiscard]] std::string format_health_frame(std::uint64_t id, const WireHealth& health);
 void format_metrics_frame_into(std::string& out, std::uint64_t id,
                                const WireMetrics& metrics);
-[[nodiscard]] std::string format_metrics_frame(std::uint64_t id,
-                                               const WireMetrics& metrics);
 void format_hello_frame_into(std::string& out, std::uint64_t id, std::uint32_t protocol);
-[[nodiscard]] std::string format_hello_frame(std::uint64_t id, std::uint32_t protocol);
 [[nodiscard]] std::string format_source_begin(const SourceBegin& begin);
 [[nodiscard]] std::string format_source_chunk(std::uint64_t id, std::string_view bytes);
 [[nodiscard]] std::string format_source_end(std::uint64_t id);

@@ -5,16 +5,14 @@
 // mirrors its request's framing, so JSON and binary can interleave on one
 // connection without desync.
 //
-// One acceptor thread plus a reader/writer thread pair per connection, and
-// each connection is *pipelined*: the reader decodes and submits request
-// N+1 while N's batch is still in flight (up to max_inflight outstanding),
-// and the writer sends responses back strictly in request order. A client
-// that streams many request lines without waiting therefore queues several
-// requests at once, and a shard that frees up takes them as one batch even
-// from a single connection. Requests are submitted to the shared
-// Service; predict_source requests ship raw bytes and featurize on the
-// worker shards. stop() is graceful: the listener closes, open connections
-// are shut down, in-flight requests are still answered.
+// The listener and each connection's pipelined reader/writer pair are the
+// connection core (connection.hpp) the fleet front runs too; this class is
+// the worker's side of it. Predict and predict_source requests are
+// submitted to the shared Service (sources ship raw bytes and featurize on
+// the worker shards), chunk streams feed a Service::SourceStream, and
+// health and metrics are answered on the connection thread. stop() is
+// graceful: the listener closes, open connections are shut down, in-flight
+// requests are still answered.
 //
 // The server counts into service.registry() — connections, protocol
 // errors, and the repro_peak_message_bytes / repro_arena_bytes high-water
@@ -49,13 +47,11 @@ struct ServerOptions {
   /// protocol 1. When false the server is a JSON-only peer: hello answers
   /// protocol 0 and a 0xB1 byte is just a malformed JSON line.
   bool enable_binary = true;
-  /// Per-request input budget for chunk-streamed predict_source. Zero means
-  /// the featurization pipeline's own max_source_bytes budget applies
-  /// unchanged; non-zero can only tighten it.
-  std::size_t max_source_bytes = 0;
   /// Per-connection pipelining window: how many decoded requests may be in
   /// flight (submitted, response not yet written) before the reader stops
   /// decoding — backpressure against a client that streams without reading.
+  /// Also the most chunk streams one connection may hold open; a Begin
+  /// beyond it is refused with a retryable "unavailable".
   std::size_t max_inflight = 64;
   /// When set, "metrics" replies include this cache's hit/miss gauges
   /// (the cache the service was created against). Must outlive the server.

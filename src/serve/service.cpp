@@ -167,19 +167,13 @@ std::future<Service::Response> Service::submit_source(std::string source,
   return enqueue(std::move(request), /*is_source=*/true);
 }
 
-Service::SourceStream Service::begin_stream(std::string kernel, Deadline deadline,
-                                            std::size_t max_source_bytes) {
-  // The feeder inherits the pipeline's budgets so a streamed request obeys
-  // the same input bound as submit_source; a caller override can only
-  // tighten it (the server passes its own per-request budget here).
-  clfront::StreamOptions stream_options =
-      impl_->shard_predictors.front().pipeline().stream_options();
-  if (max_source_bytes > 0) {
-    stream_options.max_source_bytes =
-        std::min(stream_options.max_source_bytes, max_source_bytes);
-  }
-  return SourceStream(this, clfront::SourceFeeder(stream_options),
-                      std::move(kernel), deadline);
+Service::SourceStream Service::begin_stream(std::string kernel, Deadline deadline) {
+  // The feeder inherits the pipeline's budgets, so a streamed request obeys
+  // the same input bound as submit_source.
+  return SourceStream(
+      this,
+      clfront::SourceFeeder(impl_->shard_predictors.front().pipeline().stream_options()),
+      std::move(kernel), deadline);
 }
 
 common::Status Service::SourceStream::feed(std::string_view chunk) {

@@ -165,11 +165,10 @@ class Service {
     bool finished_ = false;
   };
 
-  /// Open a streamed source request. `max_source_bytes` overrides (by min)
-  /// the pipeline's own input budget when non-zero.
+  /// Open a streamed source request under the pipeline's own input
+  /// budgets (the same bounds submit_source obeys).
   [[nodiscard]] SourceStream begin_stream(std::string kernel = {},
-                                          Deadline deadline = {},
-                                          std::size_t max_source_bytes = 0);
+                                          Deadline deadline = {});
 
   /// Blocking convenience around submit() / submit_source().
   [[nodiscard]] Response predict(clfront::StaticFeatures features);

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <netinet/in.h>
@@ -43,6 +44,14 @@ namespace rs = repro::serve;
 namespace rf = repro::fleet;
 
 namespace {
+
+/// What an `_into` reply formatter appends to an empty buffer.
+template <class... Params, class... Args>
+std::string formatted(void (*format_into)(std::string&, Params...), Args&&... args) {
+  std::string out;
+  format_into(out, std::forward<Args>(args)...);
+  return out;
+}
 
 /// A throwaway directory under the build tree, removed on destruction.
 struct TempDir {
@@ -234,8 +243,8 @@ class UnavailableBackend {
             start = nl + 1;
             std::this_thread::sleep_for(delay);
             std::string reply =
-                rs::format_error(rs::best_effort_id(line),
-                                 rc::unavailable("always draining"));
+                formatted(rs::format_error_into, rs::best_effort_id(line),
+                          rc::unavailable("always draining"), nullptr);
             reply.push_back('\n');
             (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
           }
@@ -782,4 +791,170 @@ TEST(BalancerTest, AggregatesWorkerMetricsWithItsOwn) {
 
   balancer.value()->stop();
   for (auto& worker : workers) worker.stop();
+}
+
+// --- the connection core's stream rules, at both ends -----------------------
+
+namespace {
+
+/// A raw loopback connection that writes frames and reads replies one at a
+/// time, so a test can tell a reply that comes at once from one that comes
+/// later (or never: a read gives up after 5 s).
+class RawConnection {
+ public:
+  explicit RawConnection(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  [[nodiscard]] bool send(const std::string& bytes) const {
+    return connected_ && ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+                             static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The next reply frame, decoded; an error when none arrives in time.
+  rc::Result<rs::WireResponse> next_reply() {
+    for (;;) {
+      auto next = splitter_.next();
+      if (!next.ok()) return next.error();
+      if (next.value().has_value()) return rs::binary::parse_response(next.value()->payload);
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n <= 0) return rc::io_error("no reply within 5 s");
+      splitter_.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
+    }
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  rs::MessageSplitter splitter_;
+};
+
+std::string begin_frame(std::uint64_t id) {
+  rs::binary::SourceBegin begin;
+  begin.id = id;
+  return rs::binary::format_source_begin(begin);
+}
+
+std::string hello_frame(std::uint64_t id) {
+  rs::WireRequest hello;
+  hello.id = id;
+  hello.kind = rs::RequestKind::kHello;
+  hello.max_protocol = rs::kProtocolVersion;
+  return rs::binary::format_request_frame(hello);
+}
+
+void expect_error(const rc::Result<rs::WireResponse>& reply, std::uint64_t id,
+                  rc::ErrorCode code, const std::string& message) {
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  EXPECT_EQ(reply.value().id, id);
+  ASSERT_TRUE(reply.value().error.has_value());
+  EXPECT_EQ(reply.value().error->code, code);
+  EXPECT_EQ(reply.value().error->message, message);
+}
+
+/// The four stream and frame rules of the connection core, over raw binary
+/// frames, against an endpoint whose max_inflight is 4. `protocol_errors`
+/// is the owner's protocol-error counter.
+void expect_stream_rules(int port, const repro::obs::Counter* protocol_errors) {
+  RawConnection conn(port);
+
+  // 1. A duplicate Begin id is a parse_error carrying that id.
+  SCOPED_TRACE("1: duplicate Begin id");
+  ASSERT_TRUE(conn.send(begin_frame(1) + begin_frame(1)));
+  expect_error(conn.next_reply(), 1, rc::ErrorCode::kParseError,
+               "binary: duplicate stream id");
+  ASSERT_TRUE(conn.send(rs::binary::format_source_abort(1)));  // never answered
+
+  // 2. A response frame sent as a request is a parse_error.
+  SCOPED_TRACE("2: response frame");
+  ASSERT_TRUE(conn.send(rs::binary::format_prediction_frame(2, {})));
+  expect_error(conn.next_reply(), 2, rc::ErrorCode::kParseError,
+               "binary: unexpected response frame");
+
+  // 3. The max_inflight+1-th open stream is refused at once — before any
+  //    stream ends — retryably; the four open streams still complete.
+  SCOPED_TRACE("3: open-stream bound");
+  std::string begins;
+  for (std::uint64_t id = 10; id <= 14; ++id) begins += begin_frame(id);
+  ASSERT_TRUE(conn.send(begins));
+  expect_error(conn.next_reply(), 14, rc::ErrorCode::kUnavailable,
+               "binary: too many open streams");
+  std::string ends;
+  for (std::uint64_t id = 10; id <= 13; ++id) {
+    ends += rs::binary::format_source_chunk(id, kSourceKernel);
+    ends += rs::binary::format_source_end(id);
+  }
+  ASSERT_TRUE(conn.send(ends));
+  for (std::uint64_t id = 10; id <= 13; ++id) {
+    auto reply = conn.next_reply();
+    ASSERT_TRUE(reply.ok()) << reply.error().message;
+    EXPECT_EQ(reply.value().id, id);
+    EXPECT_TRUE(reply.value().prediction.has_value()) << "stream " << id;
+  }
+
+  // 4. A Chunk, End or Abort for an unknown id gets no reply (the hello
+  //    behind it answers first) and counts one protocol error.
+  SCOPED_TRACE("4: unknown stream id");
+  const std::string unknown[] = {rs::binary::format_source_chunk(99, "x"),
+                                 rs::binary::format_source_end(99),
+                                 rs::binary::format_source_abort(99)};
+  std::uint64_t marker = 100;
+  for (const std::string& frame : unknown) {
+    const std::uint64_t before = protocol_errors->value();
+    ASSERT_TRUE(conn.send(frame + hello_frame(marker)));
+    auto reply = conn.next_reply();
+    ASSERT_TRUE(reply.ok()) << reply.error().message;
+    EXPECT_EQ(reply.value().id, marker);
+    EXPECT_TRUE(reply.value().protocol.has_value());
+    EXPECT_EQ(protocol_errors->value(), before + 1);
+    ++marker;
+  }
+}
+
+}  // namespace
+
+TEST(RawFrameTest, WorkerEnforcesStreamRules) {
+  auto service = rs::Service::from_model(trained_model(), rs::ServiceOptions{});
+  ASSERT_TRUE(service.ok());
+  rs::ServerOptions options;
+  options.tcp_port = 0;
+  options.max_inflight = 4;
+  auto server = rs::SocketServer::start(*service.value(), options);
+  ASSERT_TRUE(server.ok()) << server.error().message;
+
+  expect_stream_rules(server.value()->tcp_port(),
+                      service.value()->registry().counter("repro_protocol_errors_total"));
+
+  server.value()->stop();
+  service.value()->stop();
+}
+
+TEST(RawFrameTest, FrontEnforcesStreamRules) {
+  auto worker = InProcWorker::start();
+  rf::BalancerOptions options;
+  options.tcp_port = 0;
+  options.max_inflight = 4;
+  auto balancer = rf::Balancer::start({worker.endpoint()}, options);
+  ASSERT_TRUE(balancer.ok()) << balancer.error().message;
+
+  expect_stream_rules(
+      balancer.value()->tcp_port(),
+      balancer.value()->registry().counter("repro_balancer_protocol_errors_total"));
+
+  balancer.value()->stop();
+  worker.stop();
 }

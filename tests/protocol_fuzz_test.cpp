@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "clfront/features.hpp"
@@ -40,6 +41,14 @@ namespace rs = repro::serve;
 namespace rb = repro::serve::binary;
 
 namespace {
+
+/// What an `_into` reply formatter appends to an empty buffer.
+template <class... Params, class... Args>
+std::string formatted(void (*format_into)(std::string&, Params...), Args&&... args) {
+  std::string out;
+  format_into(out, std::forward<Args>(args)...);
+  return out;
+}
 
 /// Fixed seed set — every run fuzzes the same inputs. CI multiplies the
 /// per-seed iteration count via REPRO_FUZZ_ITERS, not the seeds.
@@ -228,21 +237,24 @@ std::string random_valid_message(rc::Xoshiro256& rng) {
       const auto e = random_error(rng);
       const auto trace = random_trace(rng);
       const auto* trace_ptr = rng.uniform_index(2) == 0 ? &trace : nullptr;
-      if (binary) return rb::format_error_frame(rng.next(), e, trace_ptr);
-      return rs::format_error(rng.next() & ((1ULL << 53) - 1), e, trace_ptr) +
+      if (binary) return formatted(rb::format_error_frame_into, rng.next(), e, trace_ptr);
+      return formatted(rs::format_error_into, rng.next() & ((1ULL << 53) - 1), e,
+                       trace_ptr) +
              "\n";
     }
     case 3: {
       const auto metrics = random_metrics(rng);
-      if (binary) return rb::format_metrics_frame(rng.next(), metrics);
-      return rs::format_metrics_response(rng.next() & ((1ULL << 53) - 1),
-                                         metrics) +
+      if (binary) return formatted(rb::format_metrics_frame_into, rng.next(), metrics);
+      return formatted(rs::format_metrics_response_into, rng.next() & ((1ULL << 53) - 1),
+                       metrics) +
              "\n";
     }
     case 4: {
       const auto health = random_health(rng);
-      if (binary) return rb::format_health_frame(rng.next(), health);
-      return rs::format_health_response(rng.next() & ((1ULL << 53) - 1), health) + "\n";
+      if (binary) return formatted(rb::format_health_frame_into, rng.next(), health);
+      return formatted(rs::format_health_response_into, rng.next() & ((1ULL << 53) - 1),
+                       health) +
+             "\n";
     }
     case 5: {
       rb::SourceBegin begin;
@@ -250,8 +262,8 @@ std::string random_valid_message(rc::Xoshiro256& rng) {
       begin.kernel = random_ascii(rng, 24);
       if (rng.uniform_index(2) == 0) begin.deadline_ms = std::fabs(random_finite(rng));
       if (binary) return rb::format_source_begin(begin);
-      return rs::format_hello_response(rng.next() & ((1ULL << 53) - 1),
-                                       static_cast<std::uint32_t>(rng.uniform_index(4))) +
+      return formatted(rs::format_hello_response_into, rng.next() & ((1ULL << 53) - 1),
+                       static_cast<std::uint32_t>(rng.uniform_index(4))) +
              "\n";
     }
     case 6:
@@ -663,20 +675,20 @@ TEST(ProtocolDifferential, ResponsesAgreeAcrossFramings) {
         }
         case 1: {
           const auto e = random_error(rng);
-          json_line = rs::format_error(id, e);
-          framed = rb::format_error_frame(id, e);
+          json_line = formatted(rs::format_error_into, id, e, nullptr);
+          framed = formatted(rb::format_error_frame_into, id, e, nullptr);
           break;
         }
         case 2: {
           const auto health = random_health(rng);
-          json_line = rs::format_health_response(id, health);
-          framed = rb::format_health_frame(id, health);
+          json_line = formatted(rs::format_health_response_into, id, health);
+          framed = formatted(rb::format_health_frame_into, id, health);
           break;
         }
         default: {
           const auto protocol = static_cast<std::uint32_t>(rng.uniform_index(4));
-          json_line = rs::format_hello_response(id, protocol);
-          framed = rb::format_hello_frame(id, protocol);
+          json_line = formatted(rs::format_hello_response_into, id, protocol);
+          framed = formatted(rb::format_hello_frame_into, id, protocol);
           break;
         }
       }
@@ -788,8 +800,8 @@ TEST(ProtocolDifferential, TracedResponsesAgreeAcrossFramings) {
         framed = rb::format_prediction_frame(id, p, &trace);
       } else {
         const auto e = random_error(rng);
-        json_line = rs::format_error(id, e, &trace);
-        framed = rb::format_error_frame(id, e, &trace);
+        json_line = formatted(rs::format_error_into, id, e, &trace);
+        framed = formatted(rb::format_error_frame_into, id, e, &trace);
       }
       auto from_json = rs::parse_response(json_line);
       ASSERT_TRUE(from_json.ok()) << from_json.error().message << "\n" << json_line;
@@ -812,10 +824,11 @@ TEST(ProtocolDifferential, MetricsResponsesAgreeAcrossFramings) {
       const std::uint64_t id = random_json_safe_u64(rng);
       const auto metrics = random_metrics(rng);
       auto from_json =
-          rs::parse_response(rs::format_metrics_response(id, metrics));
+          rs::parse_response(formatted(rs::format_metrics_response_into, id, metrics));
       ASSERT_TRUE(from_json.ok()) << from_json.error().message;
       auto from_binary =
-          rb::parse_response(frame_payload(rb::format_metrics_frame(id, metrics)));
+          rb::parse_response(frame_payload(formatted(rb::format_metrics_frame_into, id,
+                                                     metrics)));
       ASSERT_TRUE(from_binary.ok()) << from_binary.error().message;
       ASSERT_TRUE(from_json.value().metrics.has_value());
       ASSERT_EQ(from_json.value().metrics->values.size(), metrics.values.size());

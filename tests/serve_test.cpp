@@ -25,6 +25,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
@@ -53,6 +54,14 @@ namespace rs = repro::serve;
 namespace rcl = repro::clfront;
 
 namespace {
+
+/// What an `_into` reply formatter appends to an empty buffer.
+template <class... Params, class... Args>
+std::string formatted(void (*format_into)(std::string&, Params...), Args&&... args) {
+  std::string out;
+  format_into(out, std::forward<Args>(args)...);
+  return out;
+}
 
 /// Restores the default global pool when the test scope ends.
 struct PoolGuard {
@@ -447,7 +456,7 @@ TEST(ProtocolTest, BestEffortIdRecoversIdFromMalformedRequests) {
 
 TEST(ProtocolTest, ErrorResponsesCarryCodeAndMessage) {
   const auto parsed = rs::parse_response(
-      rs::format_error(7, rc::invalid_argument("bad features")));
+      formatted(rs::format_error_into, 7, rc::invalid_argument("bad features"), nullptr));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_TRUE(parsed.value().error.has_value());
   EXPECT_EQ(parsed.value().error->code, rc::ErrorCode::kInvalidArgument);
@@ -484,7 +493,7 @@ TEST(ProtocolTest, HealthResponsesRoundTrip) {
   health.uptime_s = 12.34567891234;
   health.queue_depth = 3;
 
-  const std::string wire = rs::format_health_response(4, health);
+  const std::string wire = formatted(rs::format_health_response_into, 4, health);
   const auto parsed = rs::parse_response(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   EXPECT_EQ(parsed.value().id, 4u);
@@ -1293,7 +1302,7 @@ TEST(DeadlineTest, ErrorCodeIsRetryableAndRoundTrips) {
   EXPECT_TRUE(rc::is_retryable(rc::ErrorCode::kUnavailable));
   EXPECT_FALSE(rc::is_retryable(rc::ErrorCode::kParseError));
   const auto parsed = rs::parse_response(
-      rs::format_error(3, rc::deadline_exceeded("too late")));
+      formatted(rs::format_error_into, 3, rc::deadline_exceeded("too late"), nullptr));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_TRUE(parsed.value().error.has_value());
   EXPECT_EQ(parsed.value().error->code, rc::ErrorCode::kDeadlineExceeded);
@@ -1919,9 +1928,9 @@ TEST(BinaryProtocolTest, NegotiationDowngradesAgainstPreHelloPeer) {
     std::string line;
     char c = 0;
     while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
-    std::string reply = rs::format_error(
-        rs::best_effort_id(line),
-        rc::parse_error("protocol: unknown request type \"hello\""));
+    std::string reply = formatted(
+        rs::format_error_into, rs::best_effort_id(line),
+        rc::parse_error("protocol: unknown request type \"hello\""), nullptr);
     reply.push_back('\n');
     (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
     ::close(fd);
