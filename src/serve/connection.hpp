@@ -244,8 +244,8 @@ class Connection {
     replies_.push(std::move(pending));
   }
 
-  /// A malformed or misplaced message: counted, answered with its id when
-  /// one is recoverable, and the connection reads on.
+  /// A malformed or misplaced message: counted as a protocol error and
+  /// answered, with its id when one is recoverable.
   void refuse(bool binary, std::uint64_t id, common::Error error) {
     options_.protocol_errors->inc();
     push_immediate(binary, id, std::move(error));
