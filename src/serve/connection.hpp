@@ -305,9 +305,10 @@ class Connection {
         // stream and surface from the End reply, so a mid-stream fault
         // cannot desynchronize the in-order reply queue.
         auto source_chunk = binary::parse_source_chunk(payload);
-        auto* stream = source_chunk.ok() ? find_stream(source_chunk.value().id) : nullptr;
-        if (stream == nullptr) return options_.protocol_errors->inc();
-        owner_.feed(*stream, source_chunk.value().data);
+        const auto it =
+            source_chunk.ok() ? streams_.find(source_chunk.value().id) : streams_.end();
+        if (it == streams_.end()) return options_.protocol_errors->inc();
+        owner_.feed(it->second, source_chunk.value().data);
         return;
       }
       case binary::FrameType::kSourceEnd: {
@@ -384,11 +385,6 @@ class Connection {
     auto stream = owner_.open_stream(std::move(begin).take());
     if (!stream.ok()) return push_immediate(true, id, stream.error());
     streams_.emplace(id, std::move(stream).take());
-  }
-
-  typename Owner::Stream* find_stream(std::uint64_t id) {
-    const auto it = streams_.find(id);
-    return it == streams_.end() ? nullptr : &it->second;
   }
 
   void write_replies() {
