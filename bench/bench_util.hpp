@@ -14,11 +14,13 @@
 
 namespace repro::bench {
 
-/// All harnesses share one model cache in the working directory; the first
-/// binary trains (~seconds), the rest load.
+/// All harnesses share one model cache directory in the working directory;
+/// the first binary trains (~seconds), the rest load. The pipeline's seeded
+/// suite keys its own entry, so the examples' default-suite model in the
+/// same directory never stands in for it.
 inline core::PipelineOptions default_pipeline_options() {
   core::PipelineOptions options;
-  options.model_cache_path = "gpufreq_model_cache.txt";
+  options.model_cache_dir = ".repro_model_cache";
   return options;
 }
 

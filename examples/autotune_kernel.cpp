@@ -14,6 +14,7 @@
 #include <string>
 
 #include "clfront/features.hpp"
+#include "core/model_cache.hpp"
 #include "core/predictor.hpp"
 #include "pareto/knee.hpp"
 
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto predictor = core::Predictor::builder().cache("gpufreq_model_cache.txt").build();
+  core::ModelCache cache(".repro_model_cache");
+  auto predictor = core::Predictor::builder().cache(cache).build();
   if (!predictor.ok()) {
     std::fprintf(stderr, "%s\n", predictor.error().to_string().c_str());
     return 1;

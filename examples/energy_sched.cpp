@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "core/model_cache.hpp"
 #include "core/predictor.hpp"
 #include "gpusim/simulator.hpp"
 #include "kernels/kernels.hpp"
@@ -27,9 +28,10 @@ int main(int argc, char** argv) {
   // The simulator doubles as the deployment "hardware" the plan is validated
   // against, so the predictor borrows it as its measurement backend.
   const gpusim::GpuSimulator sim(gpusim::DeviceModel::titan_x());
+  core::ModelCache cache(".repro_model_cache");
   auto predictor = core::Predictor::builder()
                        .backend(std::make_unique<core::SimulatorBackend>(sim))
-                       .cache("gpufreq_model_cache.txt")
+                       .cache(cache)
                        .build();
   if (!predictor.ok()) {
     std::fprintf(stderr, "%s\n", predictor.error().to_string().c_str());

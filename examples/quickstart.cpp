@@ -1,14 +1,15 @@
 // Quickstart: the complete library flow in ~50 lines.
 //
 //   1. Build a Predictor — it trains on the 106 synthetic micro-benchmarks
-//      against the simulated Titan X (or loads a cached model; training
-//      takes a few seconds).
+//      against the simulated Titan X (or loads the model a previous run
+//      cached in .repro_model_cache/; training takes a few seconds).
 //   2. Hand it a brand-new OpenCL kernel *as source text*.
 //   3. Get back the predicted Pareto-optimal (core, memory) frequency
 //      configurations — without ever running the kernel.
 #include <cstdio>
 
 #include "clfront/features.hpp"
+#include "core/model_cache.hpp"
 #include "core/predictor.hpp"
 
 using namespace repro;
@@ -28,7 +29,8 @@ kernel void saxpy_tuned(global float* x, global float* y, float a, int n) {
 int main() {
   // 1. Backend + training data + model, all behind the builder (the paper's
   //    defaults: simulated Titan X, linear-SVR speedup, RBF-SVR energy).
-  auto predictor = core::Predictor::builder().cache("gpufreq_model_cache.txt").build();
+  core::ModelCache cache(".repro_model_cache");
+  auto predictor = core::Predictor::builder().cache(cache).build();
   if (!predictor.ok()) {
     std::fprintf(stderr, "training: %s\n", predictor.error().to_string().c_str());
     return 1;

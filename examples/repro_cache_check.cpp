@@ -2,7 +2,7 @@
 //
 //   repro_cache_check DIR [DIR...]
 //
-// Loads each "*.model" file with serve::load_cached_model (checksum header
+// Loads each "*.model" file with core::load_cached_model (checksum header
 // verified, payload fully parsed) and prints one line per file:
 //
 //   ok   <path> (<bytes> bytes)
@@ -17,7 +17,7 @@
 #include <filesystem>
 #include <string>
 
-#include "serve/model_cache.hpp"
+#include "core/model_cache.hpp"
 
 using namespace repro;
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       }
       if (entry.path().extension() != ".model") continue;
       ++checked;
-      if (auto model = serve::load_cached_model(path); model.ok()) {
+      if (auto model = core::load_cached_model(path); model.ok()) {
         std::printf("ok   %s (%llu bytes)\n", path.c_str(),
                     static_cast<unsigned long long>(entry.file_size(ec)));
       } else {

@@ -30,8 +30,9 @@
 #include <unistd.h>
 
 #include "benchgen/benchgen.hpp"
+#include "core/model_cache.hpp"
+#include "core/predictor.hpp"
 #include "obs/metrics.hpp"
-#include "serve/model_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
@@ -52,8 +53,9 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   serve::ServerOptions server_options;
-  serve::ServiceConfig config;
-  config.options.shards = 2;
+  serve::ServiceOptions options;
+  options.shards = 2;
+  auto builder = core::Predictor::builder();
   std::string cache_dir = ".repro_serve_cache";
   std::size_t suite_stride = 1;
 
@@ -65,16 +67,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp" && has_value) {
       server_options.tcp_port = std::atoi(argv[++i]);
     } else if (arg == "--shards" && has_value) {
-      config.options.shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      options.shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--max-batch" && has_value) {
-      config.options.max_batch = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      options.max_batch = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--max-queue-delay-us" && has_value) {
-      config.options.max_queue_delay =
+      options.max_queue_delay =
           std::chrono::microseconds(std::strtol(argv[++i], nullptr, 10));
     } else if (arg == "--cache-dir" && has_value) {
       cache_dir = argv[++i];
     } else if (arg == "--num-configs" && has_value) {
-      config.training.num_configs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      builder.num_configs(static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10)));
     } else if (arg == "--suite-stride" && has_value) {
       suite_stride = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < full.value().size(); i += suite_stride) {
       subset.push_back(full.value()[i]);
     }
-    config.suite = std::move(subset);
+    builder.suite(std::move(subset));
   }
 
   // Block the shutdown signals before any thread starts (threads inherit
@@ -110,9 +112,14 @@ int main(int argc, char** argv) {
 
   std::printf("repro_serve: training (or loading) the model...\n");
   std::fflush(stdout);
-  serve::ModelCache cache(cache_dir);
+  core::ModelCache cache(cache_dir);
   server_options.model_cache = &cache;
-  auto service = serve::Service::create(config, cache);
+  auto predictor = builder.cache(cache).build();
+  if (!predictor.ok()) {
+    std::fprintf(stderr, "model: %s\n", predictor.error().to_string().c_str());
+    return 1;
+  }
+  auto service = serve::Service::from_model(predictor.value().share_model(), options);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n", service.error().to_string().c_str());
     return 1;

@@ -1,12 +1,14 @@
 // Quick-serve: the in-process serving flow in ~40 lines — a Service over a
-// model cache, concurrent clients, batched predictions. No sockets:
-// this is the API tests and benchmarks use; repro_serve adds the wire.
+// model built through a model cache, concurrent clients, batched
+// predictions. No sockets: this is the API tests and benchmarks use;
+// repro_serve adds the wire.
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
-#include "serve/model_cache.hpp"
+#include "core/model_cache.hpp"
+#include "core/predictor.hpp"
 #include "serve/service.hpp"
 
 using namespace repro;
@@ -15,11 +17,16 @@ int main() {
   // Train once (or reuse the on-disk copy from a previous run) and share the
   // model across two shards; a shard that frees up takes up to 8 queued
   // requests as one batch.
-  serve::ServiceConfig config;
-  config.options.shards = 2;
-  config.options.max_batch = 8;
-  serve::ModelCache cache(".repro_serve_cache");
-  auto service = serve::Service::create(config, cache);
+  core::ModelCache cache(".repro_serve_cache");
+  auto predictor = core::Predictor::builder().cache(cache).build();
+  if (!predictor.ok()) {
+    std::fprintf(stderr, "model: %s\n", predictor.error().to_string().c_str());
+    return 1;
+  }
+  serve::ServiceOptions options;
+  options.shards = 2;
+  options.max_batch = 8;
+  auto service = serve::Service::from_model(predictor.value().share_model(), options);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n", service.error().to_string().c_str());
     return 1;

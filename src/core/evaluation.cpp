@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "core/model_cache.hpp"
+#include "core/predictor.hpp"
 
 namespace repro::core {
 
@@ -22,28 +24,29 @@ ExperimentPipeline::ExperimentPipeline(PipelineOptions options)
       sim_(gpusim::DeviceModel::titan_x(), gpusim::SimOptions{.seed = options.seed}) {}
 
 common::Status ExperimentPipeline::prepare() {
-  if (model_.has_value()) return common::Status::Ok();
+  if (model_ != nullptr) return common::Status::Ok();
   auto suite = benchgen::generate_training_suite(options_.seed);
   if (!suite.ok()) return suite.error();
   suite_ = std::move(suite).take();
 
   // Train through the measurement abstraction (the pipeline's backend is the
   // live simulator; swap in a CsvReplayBackend to re-run figures offline).
-  const SimulatorBackend backend(sim_);
-  common::Result<FrequencyModel> model = common::internal_error("unreachable");
-  if (options_.model_cache_path.has_value()) {
-    model = FrequencyModel::train_or_load(backend, suite_, options_.training,
-                                          *options_.model_cache_path);
-  } else {
-    model = FrequencyModel::train(backend, suite_, options_.training);
+  auto builder = Predictor::builder();
+  builder.backend(std::make_unique<SimulatorBackend>(sim_))
+      .suite(suite_)
+      .training(options_.training);
+  std::optional<ModelCache> cache;
+  if (options_.model_cache_dir.has_value()) {
+    builder.cache(cache.emplace(*options_.model_cache_dir));
   }
-  if (!model.ok()) return model.error();
-  model_ = std::move(model).take();
+  auto predictor = builder.build();
+  if (!predictor.ok()) return predictor.error();
+  model_ = predictor.value().share_model();
   return common::Status::Ok();
 }
 
 const FrequencyModel& ExperimentPipeline::model() const {
-  if (!model_.has_value()) throw std::logic_error("ExperimentPipeline: call prepare()");
+  if (model_ == nullptr) throw std::logic_error("ExperimentPipeline: call prepare()");
   return *model_;
 }
 

@@ -1,10 +1,11 @@
 // End-to-end experiment pipeline shared by the benchmark harnesses
 // (Figs. 6-8, Table 2): builds the simulated Titan X, generates the 106
-// micro-benchmark training suite, trains (or loads) the predictor, and
-// evaluates it on the twelve test benchmarks.
+// micro-benchmark training suite, trains (or loads) the model through
+// Predictor::Builder, and evaluates it on the twelve test benchmarks.
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,8 +21,9 @@ namespace repro::core {
 struct PipelineOptions {
   std::uint64_t seed = 0x5EED0001ULL;
   TrainingOptions training;
-  /// When set, the trained model is cached at this path across runs.
-  std::optional<std::string> model_cache_path = std::nullopt;
+  /// When set, the trained model is found in (or trained once into) a
+  /// ModelCache on this directory, keyed by the seeded suite's fingerprint.
+  std::optional<std::string> model_cache_dir = std::nullopt;
 };
 
 /// Per-(benchmark, memory level) error sample for Figs. 6 and 7.
@@ -95,7 +97,7 @@ class ExperimentPipeline {
   PipelineOptions options_;
   gpusim::GpuSimulator sim_;
   std::vector<benchgen::MicroBenchmark> suite_;
-  std::optional<FrequencyModel> model_;
+  std::shared_ptr<const FrequencyModel> model_;
 };
 
 }  // namespace repro::core

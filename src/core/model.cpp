@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -285,43 +283,6 @@ common::Result<FrequencyModel> FrequencyModel::train(
   return train(SimulatorBackend(simulator), suite, options);
 }
 
-common::Result<FrequencyModel> FrequencyModel::train_or_load(
-    const MeasurementBackend& backend, std::span<const benchgen::MicroBenchmark> suite,
-    const TrainingOptions& options, const std::string& cache_path) {
-  if (std::filesystem::exists(cache_path)) {
-    auto loaded = load(cache_path);
-    if (loaded.ok() &&
-        loaded.value().domain().device_name() == backend.domain().device_name() &&
-        loaded.value().speedup_regressor() == options.models.speedup_regressor &&
-        loaded.value().energy_regressor() == options.models.energy_regressor) {
-      common::log_info() << "FrequencyModel: loaded cached model from " << cache_path;
-      return loaded;
-    }
-    if (loaded.ok()) {
-      common::log_warn() << "FrequencyModel: cache at " << cache_path
-                         << " was trained for a different setup (device \""
-                         << loaded.value().domain().device_name() << "\", regressors "
-                         << loaded.value().speedup_regressor() << "/"
-                         << loaded.value().energy_regressor() << "), retraining";
-    } else {
-      common::log_warn() << "FrequencyModel: stale cache at " << cache_path << " ("
-                         << loaded.error().message << "), retraining";
-    }
-  }
-  auto trained = train(backend, suite, options);
-  if (!trained.ok()) return trained;
-  if (auto st = trained.value().save(cache_path); !st.ok()) {
-    common::log_warn() << "FrequencyModel: could not cache model: " << st.error().message;
-  }
-  return trained;
-}
-
-common::Result<FrequencyModel> FrequencyModel::train_or_load(
-    const gpusim::GpuSimulator& simulator, std::span<const benchgen::MicroBenchmark> suite,
-    const TrainingOptions& options, const std::string& cache_path) {
-  return train_or_load(SimulatorBackend(simulator), suite, options, cache_path);
-}
-
 void FrequencyModel::build_plan() {
   auto plan = std::make_shared<detail::EvaluationPlan>();
   plan->grid = pareto_grid(domain_, domain_.sample_configs(training_configs_.empty()
@@ -477,22 +438,6 @@ common::Result<FrequencyModel> FrequencyModel::deserialize(const std::string& te
   model.training_samples_ = n_samples;
   model.build_plan();
   return model;
-}
-
-common::Status FrequencyModel::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return common::io_error("cannot write " + path);
-  out << serialize();
-  if (!out) return common::io_error("write failed: " + path);
-  return common::Status::Ok();
-}
-
-common::Result<FrequencyModel> FrequencyModel::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return common::io_error("cannot read " + path);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return deserialize(oss.str());
 }
 
 }  // namespace repro::core

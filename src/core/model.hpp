@@ -83,20 +83,6 @@ class FrequencyModel {
       const gpusim::GpuSimulator& simulator,
       std::span<const benchgen::MicroBenchmark> suite, const TrainingOptions& options);
 
-  /// Train, or load a previously serialized model from `cache_path` when it
-  /// exists and was trained with the same regressor keys on the same device
-  /// (and save after training otherwise). Hyperparameters are not part of
-  /// the cache key — delete the cache after changing them.
-  [[nodiscard]] static common::Result<FrequencyModel> train_or_load(
-      const MeasurementBackend& backend,
-      std::span<const benchgen::MicroBenchmark> suite, const TrainingOptions& options,
-      const std::string& cache_path);
-
-  [[nodiscard]] static common::Result<FrequencyModel> train_or_load(
-      const gpusim::GpuSimulator& simulator,
-      std::span<const benchgen::MicroBenchmark> suite, const TrainingOptions& options,
-      const std::string& cache_path);
-
   // --- single-point prediction ---------------------------------------------
   [[nodiscard]] double predict_speedup(const clfront::StaticFeatures& features,
                                        gpusim::FrequencyConfig config) const;
@@ -146,11 +132,10 @@ class FrequencyModel {
   /// Version 2 format: header + training metadata + two polymorphic
   /// regressor sections (ml::serialize_regressor envelopes). Any registered
   /// regressor family round-trips; deserialize() rejects one whose input
-  /// width is not kFeatureDim with a parse error.
+  /// width is not kFeatureDim with a parse error. Files are written and read
+  /// only by core/model_cache.hpp (save_model_atomic, load_cached_model).
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static common::Result<FrequencyModel> deserialize(const std::string& text);
-  [[nodiscard]] common::Status save(const std::string& path) const;
-  [[nodiscard]] static common::Result<FrequencyModel> load(const std::string& path);
 
  private:
   FrequencyModel(gpusim::FrequencyDomain domain, FeatureAssembler assembler)

@@ -1,4 +1,4 @@
-#include "serve/model_cache.hpp"
+#include "core/model_cache.hpp"
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -17,7 +17,7 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 
-namespace repro::serve {
+namespace repro::core {
 
 namespace {
 
@@ -64,7 +64,7 @@ class FileLock {
 
 }  // namespace
 
-common::Status save_model_atomic(const core::FrequencyModel& model,
+common::Status save_model_atomic(const FrequencyModel& model,
                                  const std::string& path) {
   const std::string payload = model.serialize();
   std::string content;
@@ -122,7 +122,7 @@ common::Status save_model_atomic(const core::FrequencyModel& model,
   return common::Status::Ok();
 }
 
-common::Result<core::FrequencyModel> load_cached_model(const std::string& path) {
+common::Result<FrequencyModel> load_cached_model(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return common::io_error("load_cached_model: cannot open " + path);
@@ -144,9 +144,9 @@ common::Result<core::FrequencyModel> load_cached_model(const std::string& path) 
                                  path + " (torn or corrupted file)");
     }
   }
-  // No header: a legacy FrequencyModel::save file — parse as-is, its own
-  // format validation is the only protection it ever had.
-  return core::FrequencyModel::deserialize(content);
+  // No header: a legacy bare-serialize() file — parse as-is, its own format
+  // validation is the only protection it ever had.
+  return FrequencyModel::deserialize(content);
 }
 
 std::string ModelKey::to_string() const {
@@ -191,7 +191,7 @@ std::string ModelKey::file_stem() const {
 }
 
 ModelKey ModelKey::from_options(const std::string& device_name,
-                                const core::TrainingOptions& options,
+                                const TrainingOptions& options,
                                 std::string suite_fingerprint) {
   return ModelKey{device_name,          options.models.speedup_regressor,
                   options.models.energy_regressor, options.num_configs,
@@ -206,7 +206,7 @@ void ModelCache::count(std::uint64_t Stats::*counter) {
   ++(stats_.*counter);
 }
 
-common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_train(
+common::Result<std::shared_ptr<const FrequencyModel>> ModelCache::get_or_train(
     const ModelKey& key, const Trainer& trainer) {
   std::string path;
   std::optional<FileLock> lock;
@@ -229,7 +229,7 @@ common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_t
                            loaded.value().energy_regressor() == key.energy_regressor;
       if (matches) {
         count(&Stats::disk_hits);
-        return std::make_shared<const core::FrequencyModel>(std::move(loaded).take());
+        return std::make_shared<const FrequencyModel>(std::move(loaded).take());
       }
       count(&Stats::disk_errors);
       common::log_warn() << "ModelCache: unusable cache file " << path << " ("
@@ -242,7 +242,7 @@ common::Result<std::shared_ptr<const core::FrequencyModel>> ModelCache::get_or_t
   count(&Stats::misses);
   auto trained = trainer();
   if (!trained.ok()) return trained.error();
-  auto model = std::make_shared<const core::FrequencyModel>(std::move(trained).take());
+  auto model = std::make_shared<const FrequencyModel>(std::move(trained).take());
   if (!path.empty()) {
     if (auto st = save_model_atomic(*model, path); !st.ok()) {
       common::log_warn() << "ModelCache: could not persist model: "
@@ -257,4 +257,4 @@ ModelCache::Stats ModelCache::stats() const {
   return stats_;
 }
 
-}  // namespace repro::serve
+}  // namespace repro::core

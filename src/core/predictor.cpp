@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/thread_pool.hpp"
+#include "core/model_cache.hpp"
 
 namespace repro::core {
 
@@ -55,8 +56,8 @@ Predictor::Builder& Predictor::Builder::suite(std::vector<benchgen::MicroBenchma
   return *this;
 }
 
-Predictor::Builder& Predictor::Builder::cache(std::string model_cache_path) {
-  cache_path_ = std::move(model_cache_path);
+Predictor::Builder& Predictor::Builder::cache(ModelCache& cache) {
+  cache_ = &cache;
   return *this;
 }
 
@@ -101,19 +102,27 @@ common::Result<Predictor> Predictor::Builder::build() {
     backend = std::make_unique<CachingBackend>(std::move(backend));
   }
 
-  std::vector<benchgen::MicroBenchmark> suite;
-  if (suite_.has_value()) {
-    suite = std::move(*suite_);
-  } else {
+  // The default suite is generated here, inside the trainer, so a cache hit
+  // never pays for it.
+  const auto train = [&]() -> common::Result<FrequencyModel> {
+    if (suite_.has_value()) return FrequencyModel::train(*backend, *suite_, training_);
     auto generated = benchgen::generate_training_suite();
     if (!generated.ok()) return generated.error();
-    suite = std::move(generated).take();
-  }
+    return FrequencyModel::train(*backend, generated.value(), training_);
+  };
 
-  auto model = cache_path_.has_value()
-                   ? FrequencyModel::train_or_load(*backend, suite, training_,
-                                                   *cache_path_)
-                   : FrequencyModel::train(*backend, suite, training_);
+  if (cache_ != nullptr) {
+    // The generated default suite is deterministic, so its name alone
+    // identifies it; a custom suite joins the key as a fingerprint.
+    const ModelKey key = ModelKey::from_options(
+        backend->domain().device_name(), training_,
+        suite_.has_value() ? ModelKey::fingerprint(*suite_)
+                           : std::string(ModelKey::kDefaultSuite));
+    auto model = cache_->get_or_train(key, train);
+    if (!model.ok()) return model.error();
+    return Predictor(std::move(backend), std::move(model).take());
+  }
+  auto model = train();
   if (!model.ok()) return model.error();
   return Predictor(std::move(backend),
                    std::make_shared<const FrequencyModel>(std::move(model).take()));
@@ -173,13 +182,6 @@ common::Result<Predictor::KernelPrediction> Predictor::predict_source(
   prediction.kernel = features.value().kernel_name;
   prediction.pareto = model_->predict_pareto(features.value());
   return prediction;
-}
-
-common::Result<std::vector<PredictedPoint>> Predictor::predict_pareto_source(
-    const std::string& opencl_source, const std::string& kernel_name) const {
-  auto prediction = predict_source(opencl_source, kernel_name);
-  if (!prediction.ok()) return prediction.error();
-  return std::move(prediction.value().pareto);
 }
 
 common::Result<std::vector<Predictor::KernelPrediction>> Predictor::predict_source_batch(

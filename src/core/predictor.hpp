@@ -1,13 +1,14 @@
 // The public entry point of the library: a trained predictor behind a
 // builder, with every axis of the pipeline swappable.
 //
+//   core::ModelCache cache(".repro_model_cache");
 //   auto predictor = core::Predictor::builder()
 //                        .device(gpusim::DeviceModel::titan_x())
 //                        .regressors("svr-linear", "svr-rbf")
-//                        .cache("gpufreq_model_cache.txt")
+//                        .cache(cache)
 //                        .build();
 //   if (!predictor.ok()) { ... }
-//   auto pareto = predictor.value().predict_pareto_source(kKernelSource);
+//   auto prediction = predictor.value().predict_source(kKernelSource);
 //
 // The builder defaults reproduce the paper end to end: simulated Titan X,
 // the 106-micro-benchmark training suite, linear-SVR speedup + RBF-SVR
@@ -32,17 +33,19 @@
 
 namespace repro::core {
 
+class ModelCache;  // core/model_cache.hpp
+
 class Predictor {
  public:
   class Builder;
   [[nodiscard]] static Builder builder();
 
-  /// Wrap an already-trained model (e.g. one handed out by
-  /// serve::ModelCache) without re-training. The model is shared — several
-  /// predictors (one per serving shard) can point at the same immutable
-  /// FrequencyModel. `backend` may be null: prediction never measures, so a
-  /// backend-less predictor supports the whole predict_* surface; only
-  /// backend() is then off limits (check has_backend()).
+  /// Wrap an already-trained model (e.g. one handed out by a ModelCache)
+  /// without re-training. The model is shared — several predictors (one per
+  /// serving shard) can point at the same immutable FrequencyModel.
+  /// `backend` may be null: prediction never measures, so a backend-less
+  /// predictor supports the whole predict_* surface; only backend() is then
+  /// off limits (check has_backend()).
   [[nodiscard]] static common::Result<Predictor> from_model(
       std::shared_ptr<const FrequencyModel> model,
       std::unique_ptr<MeasurementBackend> backend = nullptr);
@@ -83,10 +86,6 @@ class Predictor {
   [[nodiscard]] common::Result<KernelPrediction> predict_source(
       const std::string& opencl_source, const std::string& kernel_name = {}) const;
 
-  /// Same, keeping only the Pareto set (the pre-pipeline spelling).
-  [[nodiscard]] common::Result<std::vector<PredictedPoint>> predict_pareto_source(
-      const std::string& opencl_source, const std::string& kernel_name = {}) const;
-
   /// predict_source over many sources, parallelized across them on the
   /// global thread pool. Output order and every byte are identical to the
   /// serial loop at any thread count; the first failing source (by input
@@ -106,7 +105,8 @@ class Predictor {
   /// with (built on the trained model's FeatureAssembler).
   [[nodiscard]] const FeaturePipeline& pipeline() const noexcept { return pipeline_; }
   [[nodiscard]] const FrequencyModel& model() const noexcept { return *model_; }
-  /// The trained model as a shareable handle (what serve::ModelCache stores).
+  /// The trained model as a shareable handle (what a ModelCache stores, and
+  /// what serve::Service::from_model serves).
   [[nodiscard]] std::shared_ptr<const FrequencyModel> share_model() const noexcept {
     return model_;
   }
@@ -151,14 +151,16 @@ class Predictor::Builder {
   /// Custom training suite (default: the 106 generated micro-benchmarks).
   Builder& suite(std::vector<benchgen::MicroBenchmark> suite);
 
-  /// Persist the trained model here and reuse it across builds.
-  Builder& cache(std::string model_cache_path);
+  /// Load this build's model from `cache`, or train and save it there once.
+  /// Keyed by device, regressor keys, budget, mem-L exclusion and suite —
+  /// not hyperparameters. The cache must outlive build().
+  Builder& cache(ModelCache& cache);
 
   /// Wrap the backend in a memoizing CachingBackend.
   Builder& memoize(bool on = true);
 
-  /// Assemble the backend, generate/adopt the suite, then train (or load
-  /// the cached model).
+  /// Assemble the backend, then train (or load the cached model). The
+  /// default suite is generated only when a model is actually trained.
   [[nodiscard]] common::Result<Predictor> build();
 
  private:
@@ -167,7 +169,7 @@ class Predictor::Builder {
   std::unique_ptr<MeasurementBackend> backend_;
   TrainingOptions training_{};
   std::optional<std::vector<benchgen::MicroBenchmark>> suite_;
-  std::optional<std::string> cache_path_;
+  ModelCache* cache_ = nullptr;
   bool memoize_ = false;
 };
 

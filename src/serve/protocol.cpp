@@ -18,6 +18,15 @@ namespace {
 
 constexpr int kMaxDepth = 32;
 
+bool is_json_space(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+/// Every character a number token may continue with (after an optional
+/// leading '-'); from_chars then decides whether the token is well formed.
+bool is_number_char(char c) {
+  return std::isdigit(static_cast<unsigned char>(c)) || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
 /// Classifies a from_chars result_out_of_range token: true when the value is
 /// too small for binary64 (rounds to zero) rather than too large (saturates
 /// to infinity). Decided textually from the decimal order of magnitude of the
@@ -78,11 +87,7 @@ class JsonParser {
   }
 
   void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_json_space(text_[pos_])) ++pos_;
   }
 
   [[nodiscard]] bool consume(char expected) {
@@ -231,12 +236,7 @@ class JsonParser {
     if (consume('-')) {
       // sign consumed
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
     if (pos_ == start) return fail("expected a value");
     const std::string_view token = text_.substr(start, pos_ - start);
     // from_chars, not strtod: locale-independent (an embedder's LC_NUMERIC
@@ -245,8 +245,8 @@ class JsonParser {
     const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec == std::errc::result_out_of_range) {
       // from_chars reports result_out_of_range for BOTH ends of the binary64
-      // range. Overflow (e.g. the "1e999" infinity sentinel dump_json emits)
-      // saturates to infinity; underflow ("1e-999") rounds to zero.
+      // range. Overflow (e.g. the "1e999" infinity sentinel append_double
+      // emits) saturates to infinity; underflow ("1e-999") rounds to zero.
       const bool negative = token.front() == '-';
       if (token_underflows(token)) {
         value = negative ? -0.0 : 0.0;
@@ -281,36 +281,6 @@ void append_double(std::string& out, double v) {
   out.append(buf, end);
 }
 
-void dump_value(std::string& out, const JsonValue& value) {
-  if (value.is_null()) {
-    out += "null";
-  } else if (value.is_bool()) {
-    out += value.as_bool() ? "true" : "false";
-  } else if (value.is_number()) {
-    append_double(out, value.as_number());
-  } else if (value.is_string()) {
-    out += json_quote(value.as_string());
-  } else if (value.is_array()) {
-    out.push_back('[');
-    const auto& items = value.as_array();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      dump_value(out, items[i]);
-    }
-    out.push_back(']');
-  } else {
-    out.push_back('{');
-    const auto& members = value.as_object();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += json_quote(members[i].first);
-      out.push_back(':');
-      dump_value(out, members[i].second);
-    }
-    out.push_back('}');
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -325,16 +295,11 @@ common::Result<JsonValue> parse_json(std::string_view text, common::Arena* arena
   return JsonParser(text, arena).parse();
 }
 
-std::string dump_json(const JsonValue& value) {
-  std::string out;
-  dump_value(out, value);
-  return out;
-}
-
 namespace {
 
-/// Append-style json_quote — the hot-path formatters write straight into
-/// the pooled reply buffer instead of materializing a quoted temporary.
+/// Escape-quote one string as a JSON string literal, appended in place —
+/// the formatters write straight into the pooled reply buffer instead of
+/// materializing a quoted temporary.
 void quote_into(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
@@ -369,16 +334,12 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  quote_into(out, s);
-  return out;
-}
-
 // --- protocol messages --------------------------------------------------------
 
 namespace {
+
+/// A request id: a non-negative integer that fits a u64.
+bool is_valid_id(double v) { return v >= 0 && v == std::floor(v) && !(v > 1.8e19); }
 
 common::Result<std::uint64_t> require_id(const JsonValue& doc) {
   const JsonValue* id = doc.find("id");
@@ -386,9 +347,39 @@ common::Result<std::uint64_t> require_id(const JsonValue& doc) {
     return common::parse_error("protocol: missing numeric \"id\"");
   }
   const double v = id->as_number();
-  if (!(v >= 0) || v != std::floor(v) || v > 1.8e19) {
+  if (!is_valid_id(v)) {
     return common::parse_error("protocol: \"id\" must be a non-negative integer");
   }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// The id of a line that does not parse but leads with {"id":<number>
+/// (whitespace allowed between the tokens), as a truncated request does.
+/// The number must be one require_id accepts and must end at ',', '}' or
+/// whitespace — a number cut off by the end of the line may be missing
+/// digits. Anything else yields 0. Allocates nothing.
+std::uint64_t leading_id(std::string_view line) {
+  std::size_t pos = 0;
+  const auto skip_space = [&] {
+    while (pos < line.size() && is_json_space(line[pos])) ++pos;
+  };
+  for (const std::string_view expected : {"{", "\"id\"", ":"}) {
+    skip_space();
+    if (line.substr(pos, expected.size()) != expected) return 0;
+    pos += expected.size();
+  }
+  skip_space();
+  const std::size_t start = pos;
+  if (pos < line.size() && line[pos] == '-') ++pos;
+  while (pos < line.size() && is_number_char(line[pos])) ++pos;
+  if (pos == line.size() ||
+      (line[pos] != ',' && line[pos] != '}' && !is_json_space(line[pos]))) {
+    return 0;
+  }
+  // An out-of-range number overflows (an invalid id) or underflows (0).
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(line.data() + start, line.data() + pos, v);
+  if (ec != std::errc() || end != line.data() + pos || !is_valid_id(v)) return 0;
   return static_cast<std::uint64_t>(v);
 }
 
@@ -866,7 +857,8 @@ common::Result<WireResponse> parse_response(std::string_view line) {
 
 std::uint64_t best_effort_id(std::string_view line) {
   auto doc = parse_json(line);
-  if (!doc.ok() || !doc.value().is_object()) return 0;
+  if (!doc.ok()) return leading_id(line);
+  if (!doc.value().is_object()) return 0;
   auto id = require_id(doc.value());
   return id.ok() ? id.value() : 0;
 }
@@ -1072,8 +1064,7 @@ void end_frame(std::string& out, std::size_t header) {
   }
 }
 
-}  // namespace
-
+/// Wrap a payload in a frame header (the source-frame builders).
 std::string frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
@@ -1083,6 +1074,8 @@ std::string frame(FrameType type, std::string_view payload) {
   out.append(payload);
   return out;
 }
+
+}  // namespace
 
 void format_request_frame_into(std::string& out, const WireRequest& request) {
   const std::size_t header = begin_frame(out, FrameType::kRequest);

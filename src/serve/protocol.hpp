@@ -158,12 +158,6 @@ class JsonValue {
 [[nodiscard]] common::Result<JsonValue> parse_json(std::string_view text,
                                                    common::Arena* arena = nullptr);
 
-/// Serialize (doubles in shortest round-trip form — exact binary64).
-[[nodiscard]] std::string dump_json(const JsonValue& value);
-
-/// Escape-quote one string as a JSON string literal.
-[[nodiscard]] std::string json_quote(std::string_view s);
-
 // --- protocol messages --------------------------------------------------------
 
 /// Highest binary protocol version this build speaks. "hello" negotiates
@@ -281,8 +275,10 @@ void format_request_into(std::string& out, const WireRequest& request);  // clie
 [[nodiscard]] std::string format_request(const WireRequest& request);    // client side
 
 /// The numeric "id" of a line whose full parse failed, when one can still
-/// be recovered — error replies echo it so clients can correlate; 0 when
-/// even the id is unrecoverable.
+/// be recovered — error replies echo it so clients can correlate. It comes
+/// from the document when the line is JSON, else from a line that leads
+/// with {"id":<n> followed by ',', '}' or whitespace (a truncated request);
+/// 0 when even the id is unrecoverable.
 [[nodiscard]] std::uint64_t best_effort_id(std::string_view line);
 
 // --- binary framing -----------------------------------------------------------
@@ -318,9 +314,6 @@ struct SourceChunk {
   std::uint64_t id = 0;
   std::string data;  // raw source bytes; boundaries may fall anywhere
 };
-
-/// Wrap a payload in a frame header.
-[[nodiscard]] std::string frame(FrameType type, std::string_view payload);
 
 /// Like the JSON formatters, every frame builder appends one complete frame
 /// (header included, length patched in place) to a caller-owned buffer;

@@ -7,8 +7,8 @@
 #include <string_view>
 #include <utility>
 
+#include "core/model_cache.hpp"
 #include "serve/connection.hpp"
-#include "serve/model_cache.hpp"
 
 namespace repro::serve {
 

@@ -27,9 +27,11 @@
 #include "common/status.hpp"
 #include "serve/service.hpp"
 
-namespace repro::serve {
+namespace repro::core {
+class ModelCache;  // core/model_cache.hpp
+}  // namespace repro::core
 
-class ModelCache;
+namespace repro::serve {
 
 struct ServerOptions {
   /// Unix-domain socket path; takes precedence over TCP when non-empty.
@@ -54,8 +56,9 @@ struct ServerOptions {
   /// beyond it is refused with a retryable "unavailable".
   std::size_t max_inflight = 64;
   /// When set, "metrics" replies include this cache's hit/miss gauges
-  /// (the cache the service was created against). Must outlive the server.
-  const ModelCache* model_cache = nullptr;
+  /// (the cache the served model was built through). Must outlive the
+  /// server.
+  const core::ModelCache* model_cache = nullptr;
   /// Per-operation progress timeout on response writes: a client that stops
   /// reading cannot wedge this connection's writer thread (and the futures
   /// queued behind it) forever. Reads deliberately stay unbounded — idle

@@ -6,9 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/log.hpp"
 #include "common/queue.hpp"
-#include "core/measurement.hpp"
 
 namespace repro::serve {
 
@@ -75,32 +73,6 @@ Service::Service(std::shared_ptr<const core::FrequencyModel> model,
   options_.shards = std::max<std::size_t>(1, options_.shards);
   options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
   impl_ = std::make_unique<Impl>(options_);
-}
-
-common::Result<std::unique_ptr<Service>> Service::create(const ServiceConfig& config,
-                                                         ModelCache& cache) {
-  // A custom suite joins the cache key as a fingerprint — a model trained
-  // on a reduced suite must never be served for the default one (or vice
-  // versa); the generated default suite is deterministic, so its name alone
-  // identifies it.
-  const ModelKey key = ModelKey::from_options(
-      config.device.freq.device_name(), config.training,
-      config.suite.has_value() ? ModelKey::fingerprint(*config.suite)
-                               : std::string(ModelKey::kDefaultSuite));
-  auto model = cache.get_or_train(key, [&]() -> common::Result<core::FrequencyModel> {
-    const core::SimulatorBackend backend(config.device);
-    if (config.suite.has_value()) {
-      if (config.suite->empty()) {
-        return common::invalid_argument("serve::Service: empty training suite");
-      }
-      return core::FrequencyModel::train(backend, *config.suite, config.training);
-    }
-    auto suite = benchgen::generate_training_suite();
-    if (!suite.ok()) return suite.error();
-    return core::FrequencyModel::train(backend, suite.value(), config.training);
-  });
-  if (!model.ok()) return model.error();
-  return from_model(std::move(model).take(), config.options);
 }
 
 common::Result<std::unique_ptr<Service>> Service::from_model(

@@ -42,15 +42,12 @@
 #include <variant>
 #include <vector>
 
-#include "benchgen/benchgen.hpp"
 #include "clfront/features.hpp"
 #include "clfront/stream.hpp"
 #include "common/status.hpp"
 #include "core/predictor.hpp"
-#include "gpusim/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/model_cache.hpp"
 
 namespace repro::serve {
 
@@ -74,26 +71,13 @@ struct ServiceOptions {
   obs::Registry* registry = nullptr;
 };
 
-/// What a Service trains (or loads through a ModelCache) at startup.
-struct ServiceConfig {
-  gpusim::DeviceModel device = gpusim::DeviceModel::titan_x();
-  core::TrainingOptions training{};
-  /// Training suite; defaults to the generated 106 micro-benchmarks.
-  std::optional<std::vector<benchgen::MicroBenchmark>> suite;
-  ServiceOptions options{};
-};
-
 class Service {
  public:
   using Response = common::Result<core::Predictor::KernelPrediction>;
 
-  /// Load the model for `config` through `cache` (training it on a miss),
-  /// then start the shard workers. The cache is only used
-  /// during create — the returned Service keeps the model alive on its own.
-  [[nodiscard]] static common::Result<std::unique_ptr<Service>> create(
-      const ServiceConfig& config, ModelCache& cache);
-
-  /// Serve an already-trained model (tests, or a model trained elsewhere).
+  /// Serve an already-trained model — typically Predictor::share_model() of
+  /// a Predictor::Builder that trained (or loaded) it through a
+  /// core::ModelCache — and start the shard workers.
   [[nodiscard]] static common::Result<std::unique_ptr<Service>> from_model(
       std::shared_ptr<const core::FrequencyModel> model, const ServiceOptions& options);
 

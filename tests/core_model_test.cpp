@@ -1,5 +1,6 @@
 // Tests for the core predictor: feature assembly, training, Pareto
-// prediction with the mem-L heuristic, and model persistence.
+// prediction with the mem-L heuristic, and model persistence (one model per
+// cache key through Predictor::Builder and core::ModelCache).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,10 +9,16 @@
 #include <cstring>
 #include <filesystem>
 #include <span>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "benchgen/benchgen.hpp"
 #include "core/features.hpp"
 #include "core/model.hpp"
+#include "core/model_cache.hpp"
+#include "core/predictor.hpp"
 #include "gpusim/simulator.hpp"
 #include "kernels/kernels.hpp"
 #include "ml/synthetic.hpp"
@@ -61,6 +68,18 @@ std::vector<repro::clfront::StaticFeatures> all_kernel_features() {
 }
 
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool points_bits_equal(const std::vector<rco::PredictedPoint>& a,
+                       const std::vector<rco::PredictedPoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].config != b[i].config || a[i].heuristic != b[i].heuristic ||
+        !bits_equal(a[i].speedup, b[i].speedup) || !bits_equal(a[i].energy, b[i].energy)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -295,28 +314,54 @@ TEST(FrequencyModelTest, SaveAndLoadFile) {
   const auto& model = trained_model();
   const std::string path =
       (std::filesystem::temp_directory_path() / "gpufreq_model_test.txt").string();
-  ASSERT_TRUE(model.save(path).ok());
-  const auto loaded = rco::FrequencyModel::load(path);
+  ASSERT_TRUE(rco::save_model_atomic(model, path).ok());
+  const auto loaded = rco::load_cached_model(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().training_configs().size(), model.training_configs().size());
   std::filesystem::remove(path);
 }
 
-TEST(FrequencyModelTest, TrainOrLoadUsesCache) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gpufreq_model_cache_test.txt").string();
-  std::filesystem::remove(path);
-  rco::TrainingOptions options;
-  const auto first = rco::FrequencyModel::train_or_load(sim(), small_suite(), options, path);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(std::filesystem::exists(path));
-  // Second call must load (same predictions, no retraining side effects).
-  const auto second = rco::FrequencyModel::train_or_load(sim(), small_suite(), options, path);
-  ASSERT_TRUE(second.ok());
-  const auto& mb = small_suite()[0];
-  EXPECT_DOUBLE_EQ(second.value().predict_speedup(mb.features, {1001, 3505}),
-                   first.value().predict_speedup(mb.features, {1001, 3505}));
-  std::filesystem::remove(path);
+TEST(FrequencyModelTest, SharedCacheKeepsOneModelPerKey) {
+  // Two different training suites through one cache directory: each builds
+  // its own entry, and a repeat of the first loads the first's copy — never
+  // the other suite's model.
+  const auto all = small_suite();
+  const std::vector<rb::MicroBenchmark> a(all.begin(), all.begin() + 12);
+  const std::vector<rb::MicroBenchmark> b(all.begin() + 12, all.begin() + 24);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("gpufreq-shared-cache-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  rco::ModelCache cache(dir.string());
+  const auto build = [&cache](const std::vector<rb::MicroBenchmark>& suite) {
+    auto built = rco::Predictor::builder().suite(suite).cache(cache).build();
+    EXPECT_TRUE(built.ok()) << (built.ok() ? "" : built.error().message);
+    return std::move(built).take();
+  };
+
+  const auto first_a = build(a);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  const auto first_b = build(b);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  const auto second_a = build(a);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+
+  // Each predictor answers exactly like a model trained on its own suite.
+  const auto model_a = rco::FrequencyModel::train(sim(), a, rco::TrainingOptions{});
+  const auto model_b = rco::FrequencyModel::train(sim(), b, rco::TrainingOptions{});
+  ASSERT_TRUE(model_a.ok());
+  ASSERT_TRUE(model_b.ok());
+  for (const auto& features : all_kernel_features()) {
+    const auto reference_a = model_a.value().predict_pareto(features);
+    const auto reference_b = model_b.value().predict_pareto(features);
+    EXPECT_TRUE(points_bits_equal(first_a.predict_pareto(features).value(), reference_a))
+        << features.kernel_name;
+    EXPECT_TRUE(points_bits_equal(first_b.predict_pareto(features).value(), reference_b))
+        << features.kernel_name;
+    EXPECT_TRUE(points_bits_equal(second_a.predict_pareto(features).value(), reference_a))
+        << features.kernel_name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FrequencyModelTest, DeserializeRejectsGarbage) {

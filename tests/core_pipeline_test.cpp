@@ -129,11 +129,6 @@ TEST(PredictSourceTest, MatchesFeaturizeThenPredictPareto) {
   const auto reference = predictor().predict_pareto(features.value());
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(points_bitwise_equal(prediction.value().pareto, reference.value()));
-
-  // The legacy spelling returns the same points.
-  const auto legacy = predictor().predict_pareto_source(kKernelA);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_TRUE(points_bitwise_equal(legacy.value(), reference.value()));
 }
 
 TEST(PredictSourceTest, BadSourceIsAnErrorNotACrash) {

@@ -63,8 +63,8 @@ std::size_t iterations(std::size_t default_iters) {
   return default_iters;
 }
 
-/// ASCII including control characters — json_quote must escape its way
-/// through all of them; the binary framing ships them raw.
+/// ASCII including control characters — the JSON formatters must escape
+/// their way through all of them; the binary framing ships them raw.
 std::string random_ascii(rc::Xoshiro256& rng, std::size_t max_len) {
   std::string s;
   const std::size_t n = rng.uniform_index(max_len + 1);

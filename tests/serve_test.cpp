@@ -36,12 +36,12 @@
 #include "common/thread_pool.hpp"
 #include "core/measurement.hpp"
 #include "core/model.hpp"
+#include "core/model_cache.hpp"
 #include "core/predictor.hpp"
 #include "gpusim/simulator.hpp"
 #include "ml/svr.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
-#include "serve/model_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -99,6 +99,19 @@ rco::TrainingOptions small_options() {
   rco::TrainingOptions options;
   options.num_configs = 8;
   return options;
+}
+
+/// A service over the small model, trained (or loaded) through `cache` the
+/// way repro_serve starts: Predictor::Builder, then Service::from_model.
+rc::Result<std::unique_ptr<rs::Service>> serve_through(rco::ModelCache& cache,
+                                                       const rs::ServiceOptions& options = {}) {
+  auto predictor = rco::Predictor::builder()
+                       .suite(small_suite())
+                       .training(small_options())
+                       .cache(cache)
+                       .build();
+  if (!predictor.ok()) return predictor.error();
+  return rs::Service::from_model(predictor.value().share_model(), options);
 }
 
 std::shared_ptr<const rco::FrequencyModel> trained_model() {
@@ -452,6 +465,12 @@ TEST(ProtocolTest, BestEffortIdRecoversIdFromMalformedRequests) {
   EXPECT_EQ(rs::best_effort_id("not json"), 0u);
   EXPECT_EQ(rs::best_effort_id("[1,2]"), 0u);
   EXPECT_EQ(rs::best_effort_id(R"({"id": -1})"), 0u);
+  // A line that does not parse still yields the id that leads it — a
+  // request cut off mid-payload — but only from a complete leading number.
+  EXPECT_EQ(rs::best_effort_id(R"({"id":7,"type":"predict","features":[1,2)"), 7u);
+  EXPECT_EQ(rs::best_effort_id(R"({ "id" : 12 , "kernel":"x)"), 12u);
+  EXPECT_EQ(rs::best_effort_id(R"({"kernel":"x","id":7,)"), 0u);
+  EXPECT_EQ(rs::best_effort_id(R"({"id":-1,)"), 0u);
 }
 
 TEST(ProtocolTest, ErrorResponsesCarryCodeAndMessage) {
@@ -529,14 +548,14 @@ TEST(ProtocolTest, HealthResponsesRoundTrip) {
 TEST(ModelCacheTest, TrainsOnceThenLoadsTheSavedCopy) {
   TempDir dir("repro-cache-once");
   std::atomic<int> trainings{0};
-  const rs::ModelKey key = rs::ModelKey::from_options(
+  const rco::ModelKey key = rco::ModelKey::from_options(
       rg::DeviceModel::titan_x().freq.device_name(), small_options());
   const auto trainer = [&]() -> rc::Result<rco::FrequencyModel> {
     ++trainings;
     const rco::SimulatorBackend backend(rg::DeviceModel::titan_x());
     return rco::FrequencyModel::train(backend, small_suite(), small_options());
   };
-  rs::ModelCache cache(dir.path.string());
+  rco::ModelCache cache(dir.path.string());
   const auto first = cache.get_or_train(key, trainer);
   ASSERT_TRUE(first.ok()) << first.error().message;
   const auto second = cache.get_or_train(key, trainer);
@@ -550,7 +569,7 @@ TEST(ModelCacheTest, TrainsOnceThenLoadsTheSavedCopy) {
   EXPECT_TRUE(std::filesystem::exists(dir.path / (key.file_stem() + ".lock")));
 
   // Without a directory there is no copy to share: every call trains.
-  rs::ModelCache private_cache;
+  rco::ModelCache private_cache;
   ASSERT_TRUE(private_cache.get_or_train(key, trainer).ok());
   ASSERT_TRUE(private_cache.get_or_train(key, trainer).ok());
   EXPECT_EQ(trainings.load(), 3);
@@ -568,15 +587,15 @@ TEST(ModelCacheTest, ConcurrentThreadsTrainEachKeyOnce) {
   constexpr std::size_t kIters = 50;
   constexpr std::size_t kKeys = 6;
 
-  rs::ModelCache cache(dir.path.string());
+  rco::ModelCache cache(dir.path.string());
   // Distinct keys over the same underlying model; the device must be the
   // model's real one or the disk probe rejects every saved copy.
   const std::string device = trained_model()->domain().device_name();
-  std::vector<rs::ModelKey> keys;
+  std::vector<rco::ModelKey> keys;
   for (std::size_t k = 0; k < kKeys; ++k) {
     auto options = small_options();
     options.num_configs = 8 + k;
-    keys.push_back(rs::ModelKey::from_options(device, options));
+    keys.push_back(rco::ModelKey::from_options(device, options));
   }
 
   std::vector<std::atomic<int>> trainings(kKeys);
@@ -621,14 +640,14 @@ namespace {
 /// and returns the model `blob` deserializes to. When `start_fd` >= 0 the
 /// child first waits to read one byte from it. Exit status 0 iff the child's
 /// model serializes to `blob`. Returns the pid in the parent only.
-pid_t fork_cache_child(const std::string& dir, const rs::ModelKey& key,
+pid_t fork_cache_child(const std::string& dir, const rco::ModelKey& key,
                        const std::string& blob, const std::string& marker,
                        int start_fd, int in_trainer_fd) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   char go = 0;
   if (start_fd >= 0 && ::read(start_fd, &go, 1) != 1) ::_exit(3);
-  rs::ModelCache cache(dir);
+  rco::ModelCache cache(dir);
   const auto model = cache.get_or_train(key, [&]() -> rc::Result<rco::FrequencyModel> {
     const int fd = ::open(marker.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd < 0 || ::write(fd, "x", 1) != 1) ::_exit(4);
@@ -675,9 +694,9 @@ TEST(ModelCacheTest, ForkedProcessesTrainOnceAndOutliveAKilledTrainer) {
   const std::string blob = trained_model()->serialize();
   auto options = small_options();
   const std::string device = trained_model()->domain().device_name();
-  const rs::ModelKey key = rs::ModelKey::from_options(device, options);
+  const rco::ModelKey key = rco::ModelKey::from_options(device, options);
   options.num_configs += 1;
-  const rs::ModelKey other = rs::ModelKey::from_options(device, options);
+  const rco::ModelKey other = rco::ModelKey::from_options(device, options);
 
   // Four processes released at once on an empty directory: one trains.
   const std::string marker = (dir.path / "key.trained").string();
@@ -729,7 +748,7 @@ TEST(ModelCacheTest, ForkedProcessesTrainOnceAndOutliveAKilledTrainer) {
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     if (entry.path().extension() != ".model") continue;
     ++models;
-    EXPECT_TRUE(rs::load_cached_model(entry.path().string()).ok()) << entry.path();
+    EXPECT_TRUE(rco::load_cached_model(entry.path().string()).ok()) << entry.path();
   }
   EXPECT_EQ(models, 2u);
 }
@@ -739,22 +758,22 @@ TEST(ModelCacheTest, SuiteFingerprintSeparatesKeys) {
   // the suite fingerprint is part of the key (and of the on-disk filename).
   const auto full = rb::generate_training_suite().value();
   const auto reduced = small_suite();
-  const auto fp_full = rs::ModelKey::fingerprint(full);
-  const auto fp_reduced = rs::ModelKey::fingerprint(reduced);
+  const auto fp_full = rco::ModelKey::fingerprint(full);
+  const auto fp_reduced = rco::ModelKey::fingerprint(reduced);
   EXPECT_NE(fp_full, fp_reduced);
-  const auto key_full = rs::ModelKey::from_options("dev", small_options(), fp_full);
+  const auto key_full = rco::ModelKey::from_options("dev", small_options(), fp_full);
   const auto key_reduced =
-      rs::ModelKey::from_options("dev", small_options(), fp_reduced);
+      rco::ModelKey::from_options("dev", small_options(), fp_reduced);
   EXPECT_NE(key_full.to_string(), key_reduced.to_string());
   EXPECT_NE(key_full.file_stem(), key_reduced.file_stem());
   // The fingerprint is stable across calls (it keys the disk cache).
-  EXPECT_EQ(fp_reduced, rs::ModelKey::fingerprint(small_suite()));
+  EXPECT_EQ(fp_reduced, rco::ModelKey::fingerprint(small_suite()));
 }
 
 TEST(ModelCacheTest, ReloadsFromDiskAcrossInstances) {
   TempDir dir("repro-model-cache");
   std::atomic<int> trainings{0};
-  const rs::ModelKey key = rs::ModelKey::from_options(
+  const rco::ModelKey key = rco::ModelKey::from_options(
       rg::DeviceModel::titan_x().freq.device_name(), small_options());
   const auto trainer = [&]() -> rc::Result<rco::FrequencyModel> {
     ++trainings;
@@ -763,13 +782,13 @@ TEST(ModelCacheTest, ReloadsFromDiskAcrossInstances) {
   };
   std::string serialized;
   {
-    rs::ModelCache cache(dir.path.string());
+    rco::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     serialized = model.value()->serialize();
   }
   {
-    rs::ModelCache cache(dir.path.string());
+    rco::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     EXPECT_EQ(trainings.load(), 1);  // served from disk, not retrained
@@ -782,7 +801,7 @@ TEST(ModelCacheTest, ReloadsFromDiskAcrossInstances) {
 TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
   TempDir dir("repro-model-corrupt");
   std::atomic<int> trainings{0};
-  const rs::ModelKey key = rs::ModelKey::from_options(
+  const rco::ModelKey key = rco::ModelKey::from_options(
       rg::DeviceModel::titan_x().freq.device_name(), small_options());
   const auto trainer = [&]() -> rc::Result<rco::FrequencyModel> {
     ++trainings;
@@ -790,7 +809,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
     return rco::FrequencyModel::train(backend, small_suite(), small_options());
   };
   {
-    rs::ModelCache cache(dir.path.string());
+    rco::ModelCache cache(dir.path.string());
     ASSERT_TRUE(cache.get_or_train(key, trainer).ok());
   }
   // Truncate the persisted model mid-file: the next instance must survive,
@@ -800,7 +819,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
   const auto full_size = std::filesystem::file_size(file);
   std::filesystem::resize_file(file, full_size / 2);
   {
-    rs::ModelCache cache(dir.path.string());
+    rco::ModelCache cache(dir.path.string());
     auto model = cache.get_or_train(key, trainer);
     ASSERT_TRUE(model.ok()) << model.error().message;
     EXPECT_EQ(trainings.load(), 2);
@@ -809,7 +828,7 @@ TEST(ModelCacheTest, CorruptDiskFileFallsBackToRetraining) {
   // The rewritten file serves the third instance again.
   EXPECT_EQ(std::filesystem::file_size(file), full_size);
   {
-    rs::ModelCache cache(dir.path.string());
+    rco::ModelCache cache(dir.path.string());
     ASSERT_TRUE(cache.get_or_train(key, trainer).ok());
     EXPECT_EQ(trainings.load(), 2);
   }
@@ -896,15 +915,15 @@ TEST(ModelRobustnessTest, WrongFeatureWidthIsAParseError) {
 
   // A cache file holding that model (valid checksum) is retrained, not served.
   TempDir dir("repro-model-width");
-  const rs::ModelKey key =
-      rs::ModelKey::from_options(trained_model()->domain().device_name(), small_options());
+  const rco::ModelKey key =
+      rco::ModelKey::from_options(trained_model()->domain().device_name(), small_options());
   char hash[17];
   std::snprintf(hash, sizeof hash, "%016llx",
                 static_cast<unsigned long long>(rc::fnv1a(narrow)));
   std::ofstream(dir.path / (key.file_stem() + ".model"))
       << "gpufreq_checksum " << hash << '\n' << narrow;
   std::atomic<int> trainings{0};
-  rs::ModelCache cache(dir.path.string());
+  rco::ModelCache cache(dir.path.string());
   const auto model = cache.get_or_train(key, [&]() {
     ++trainings;
     return rco::FrequencyModel::deserialize(full);
@@ -1067,18 +1086,16 @@ TEST(ServiceTest, StopIsGracefulAndRefusesLateWork) {
 
 TEST(ServiceTest, CreateTrainsThroughModelCache) {
   TempDir dir("repro-serve-create");
-  rs::ServiceConfig config;
-  config.suite = small_suite();
-  config.training = small_options();
-  config.options.shards = 2;
-  rs::ModelCache cache(dir.path.string());
-  auto service = rs::Service::create(config, cache);
+  rs::ServiceOptions options;
+  options.shards = 2;
+  rco::ModelCache cache(dir.path.string());
+  auto service = serve_through(cache, options);
   ASSERT_TRUE(service.ok()) << service.error().message;
   EXPECT_EQ(cache.stats().misses, 1u);
   auto response = service.value()->predict(request_mix(1)[0]);
   ASSERT_TRUE(response.ok());
   // The same cache serves a second service from the saved copy.
-  auto second = rs::Service::create(config, cache);
+  auto second = serve_through(cache, options);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -1169,11 +1186,8 @@ TEST(SocketTest, ConnectRetryRidesOutLateServerStart) {
 
 TEST(SocketTest, ServerAnswersHealthAndMetricsOverTheWire) {
   TempDir dir("repro-serve-metrics");
-  rs::ServiceConfig config;
-  config.suite = small_suite();
-  config.training = small_options();
-  rs::ModelCache cache(dir.path.string());
-  auto service = rs::Service::create(config, cache);
+  rco::ModelCache cache(dir.path.string());
+  auto service = serve_through(cache);
   ASSERT_TRUE(service.ok()) << service.error().message;
 
   rs::ServerOptions server_options;
@@ -1198,7 +1212,7 @@ TEST(SocketTest, ServerAnswersHealthAndMetricsOverTheWire) {
   EXPECT_EQ(metric_value(metrics.value(), "repro_source_requests_total"), 1.0);
   EXPECT_GE(metric_value(metrics.value(), "repro_batches_total"), 1.0);
   EXPECT_EQ(metric_value(metrics.value(), "repro_connections_total"), 1.0);
-  // Service::create trained once.
+  // The builder trained once, through the cache.
   EXPECT_EQ(metric_value(metrics.value(), "repro_cache_misses"), 1.0);
 
   // Uptime is monotone across calls on the same server.
@@ -1385,12 +1399,12 @@ TEST(SheddingTest, OverloadShedsWithRetryableErrorAndServesTheRest) {
 TEST(AtomicSaveTest, SaveLoadRoundTripsAndDetectsCorruption) {
   TempDir dir("repro-atomic-save");
   const auto path = (dir.path / "m.model").string();
-  ASSERT_TRUE(rs::save_model_atomic(*trained_model(), path).ok());
+  ASSERT_TRUE(rco::save_model_atomic(*trained_model(), path).ok());
   // No temp file survives a successful save.
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos);
   }
-  auto loaded = rs::load_cached_model(path);
+  auto loaded = rco::load_cached_model(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   EXPECT_EQ(loaded.value().serialize(), trained_model()->serialize());
 
@@ -1400,7 +1414,7 @@ TEST(AtomicSaveTest, SaveLoadRoundTripsAndDetectsCorruption) {
     f.seekp(-10, std::ios::end);
     f.put('#');
   }
-  auto corrupt = rs::load_cached_model(path);
+  auto corrupt = rco::load_cached_model(path);
   ASSERT_FALSE(corrupt.ok());
   EXPECT_EQ(corrupt.error().code, rc::ErrorCode::kParseError);
   EXPECT_NE(corrupt.error().message.find("checksum"), std::string::npos);
@@ -1410,7 +1424,7 @@ TEST(AtomicSaveTest, SaveLoadRoundTripsAndDetectsCorruption) {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     f << "gpufreq_checksum 0123";
   }
-  EXPECT_FALSE(rs::load_cached_model(path).ok());
+  EXPECT_FALSE(rco::load_cached_model(path).ok());
 }
 
 TEST(AtomicSaveTest, LegacyHeaderlessFilesStillLoad) {
@@ -1421,7 +1435,7 @@ TEST(AtomicSaveTest, LegacyHeaderlessFilesStillLoad) {
     std::ofstream f(path, std::ios::binary);
     f << trained_model()->serialize();
   }
-  auto loaded = rs::load_cached_model(path);
+  auto loaded = rco::load_cached_model(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   EXPECT_EQ(loaded.value().serialize(), trained_model()->serialize());
 }
