@@ -9,7 +9,13 @@
 #
 #  - each figure's per-memory-level "Memory Frequency" and "RMSE" lines;
 #  - table2_pareto_eval.csv (coverage, set sizes and extreme-point
-#    distances of every test benchmark's predicted Pareto set).
+#    distances of every test benchmark's predicted Pareto set);
+#  - the SHA-256 of every model the runs saved under .repro_model_cache/
+#    (quickstart's default-suite model and the harnesses' seeded-suite
+#    model, 4,240 training samples each), one per line, sorted. File names
+#    are left out: a name encodes the cache key, not the weights. These
+#    lines pin every bit of both models, not just the printed precision of
+#    the figures above.
 #
 # Any difference fails the check and prints a unified diff. A change that
 # moves prediction bits on purpose shows its accuracy deltas here; one that
@@ -51,6 +57,10 @@ done
   done
   echo "== table2_pareto_eval.csv"
   cat bench_out/table2_pareto_eval.csv
+  echo "== model digests"
+  for model in .repro_model_cache/*.model; do
+    sha256sum "$model" | cut -d' ' -f1
+  done | sort
 } >accuracy.txt
 
 if [ "$mode" = "--write" ]; then
