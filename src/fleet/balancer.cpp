@@ -448,12 +448,16 @@ Balancer::Impl::Sent Balancer::Impl::send(Backend& backend, const PendingPtr& pe
   // The worker died between pick and write. Wake the reader so the teardown
   // runs, and reclaim the entry unless the teardown already did — then the
   // teardown owns its re-dispatch or failure, and must not see it doubled.
+  // The backend leaves rotation now, not when its reader gets scheduled:
+  // otherwise the caller's next pick can land on the same dead worker for
+  // every remaining attempt. Reconnection keys off reader_exited and fd.
   bool ours = false;
   {
     std::lock_guard lock(backend.state_mutex);
     ours = backend.pending.erase(sent.backend_id) > 0;
-    if (backend.generation == sent.generation && backend.fd >= 0) {
-      ::shutdown(backend.fd, SHUT_RDWR);
+    if (backend.generation == sent.generation) {
+      backend.alive.store(false, std::memory_order_release);
+      if (backend.fd >= 0) ::shutdown(backend.fd, SHUT_RDWR);
     }
   }
   if (ours) backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
