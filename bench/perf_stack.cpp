@@ -107,7 +107,10 @@ ml::SvrParams rbf_params() {
   return params;
 }
 
-/// SVR training: the parallel win is the kernel-matrix construction.
+/// SVR training at one thread and at `threads`. The fit is serial — it
+/// reads K through ml::KernelRowCache and never calls the pool — so both
+/// legs time the same work, and bit_identical pins the model against the
+/// global thread count.
 CaseResult bench_svr_train(std::size_t n, std::size_t threads, int reps) {
   constexpr std::size_t kDim = 12;
   ml::Matrix x;
@@ -373,9 +376,10 @@ CaseResult bench_simd_reduce(bool sqd, std::size_t dim, int reps) {
   return {sqd ? "simd_squared_distance" : "simd_dot", dim, serial_ms, simd_ms, identical};
 }
 
-/// The SVR kernel-matrix build (the KernelCache fill pattern: upper
-/// triangle + mirror, float storage), pinned to one thread so the A/B
-/// isolates the SIMD effect from the thread pool.
+/// The dense SVR kernel-matrix build (ml::build_kernel_matrix_f32: upper
+/// triangle + mirror, float storage; the reference the trainer's row cache
+/// is tested against), pinned to one thread so the A/B isolates the SIMD
+/// effect from the thread pool.
 CaseResult bench_simd_kernel_matrix(std::size_t n, int reps) {
   constexpr std::size_t kDim = 12;
   ml::Matrix x;
@@ -388,8 +392,8 @@ CaseResult bench_simd_kernel_matrix(std::size_t n, int reps) {
   std::vector<float> k;
   // The pre-SIMD path: one kernel evaluation per pair, sequential scalar
   // reduction plus libm exp. Allocates its matrix inside the timed region,
-  // exactly like the production builder below — cache construction includes
-  // the allocation in both generations.
+  // exactly like the dense builder below — both sides include the
+  // allocation.
   const auto fill_scalar = [&] {
     std::vector<float> kk(n * n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -405,10 +409,10 @@ CaseResult bench_simd_kernel_matrix(std::size_t n, int reps) {
     }
     k = std::move(kk);
   };
-  // The optimized side runs ml::build_kernel_matrix_f32 itself — the real
-  // KernelCache fill (batched SIMD evaluate_row, block-tiled mirror) —
-  // pinned to one thread above so the A/B isolates vectorization, and on
-  // whatever backend the run dispatches to (REPRO_SIMD honored).
+  // The optimized side runs ml::build_kernel_matrix_f32 itself (batched
+  // SIMD evaluate_row, block-tiled mirror) — pinned to one thread above so
+  // the A/B isolates vectorization, and on whatever backend the run
+  // dispatches to (REPRO_SIMD honored).
   const double serial_ms = time_ms(fill_scalar, reps);
   const double simd_ms =
       time_ms([&] { k = ml::build_kernel_matrix_f32(x, kernel); }, reps);

@@ -206,8 +206,10 @@ void log_fit(const char* objective, const ml::Regressor& model) {
   auto line = common::log_info();
   line << objective << " model (" << model.name() << "): fitted";
   if (const auto* svr = dynamic_cast<const ml::Svr*>(&model)) {
-    line << ", " << svr->training_info().iterations << " SMO iterations, "
-         << svr->num_support_vectors() << " SVs";
+    const auto& info = svr->training_info();
+    line << ", " << info.iterations << " SMO iterations, " << svr->num_support_vectors()
+         << " SVs, " << info.kernel_rows_computed << " kernel rows computed, "
+         << info.kernel_cache_peak_bytes << " B kernel cache peak";
   }
 }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,7 +29,7 @@ constexpr std::size_t kSvBlock = 64;
 /// it saves.
 constexpr std::size_t kSerialEvaluations = 32768;
 
-/// Row-block edge for the kernel cache fill; 16 rows keep the mirror
+/// Row-block edge for the dense kernel-matrix fill; 16 rows keep the mirror
 /// stripe (16 floats = one cache line per destination row) dense.
 constexpr std::size_t kCacheBlock = 16;
 
@@ -49,23 +50,6 @@ double decision(const KernelFunction& kernel, const Matrix& sv,
   }
   return acc;
 }
-
-/// Dense symmetric kernel cache over the n training samples, stored as
-/// float to halve memory (n ≈ 4240 in the paper's training set -> ~72 MB).
-class KernelCache {
- public:
-  KernelCache(const Matrix& x, const KernelFunction& kernel)
-      : n_(x.rows()), k_(build_kernel_matrix_f32(x, kernel)) {}
-
-  [[nodiscard]] const float* row(std::size_t i) const noexcept { return k_.data() + i * n_; }
-  [[nodiscard]] float at(std::size_t i, std::size_t j) const noexcept {
-    return k_[i * n_ + j];
-  }
-
- private:
-  std::size_t n_;
-  std::vector<float> k_;
-};
 
 }  // namespace
 
@@ -116,6 +100,49 @@ std::vector<float> build_kernel_matrix_f32(const Matrix& x, const KernelFunction
   return k_storage;
 }
 
+KernelRowCache::KernelRowCache(const Matrix& x, const KernelFunction& kernel,
+                               std::size_t budget_bytes)
+    : x_(x),
+      kernel_(kernel),
+      n_(x.rows()),
+      max_slots_(std::max<std::size_t>(
+          2, std::min(n_, budget_bytes / (sizeof(float) * std::max<std::size_t>(n_, 1))))),
+      diag_(n_),
+      buf_(n_),
+      storage_(std::make_unique_for_overwrite<float[]>(max_slots_ * n_)),
+      slot_of_(n_, kNoSlot) {
+  // Each diagonal cell is the first cell of the dense fill's row call.
+  for (std::size_t i = 0; i < n_; ++i) {
+    kernel_.evaluate_row(x_.row(i), x_, i, i + 1, buf_);
+    diag_[i] = static_cast<float>(buf_[0]);
+  }
+}
+
+const float* KernelRowCache::row(std::size_t i) {
+  std::size_t s = slot_of_[i];
+  if (s == kNoSlot) {
+    if (row_of_.size() < max_slots_) {
+      s = row_of_.size();
+      row_of_.push_back(i);
+      last_use_.push_back(0);
+    } else {
+      // Evict the least recently used row. The row returned last holds the
+      // newest stamp and there are at least two slots, so it survives.
+      s = static_cast<std::size_t>(
+          std::min_element(last_use_.begin(), last_use_.end()) - last_use_.begin());
+      slot_of_[row_of_[s]] = kNoSlot;
+      row_of_[s] = i;
+    }
+    slot_of_[i] = s;
+    kernel_.evaluate_row(x_.row(i), x_, 0, n_, buf_);
+    float* out = storage_.get() + s * n_;
+    for (std::size_t j = 0; j < n_; ++j) out[j] = static_cast<float>(buf_[j]);
+    ++rows_computed_;
+  }
+  last_use_[s] = ++clock_;
+  return storage_.get() + s * n_;
+}
+
 void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   const std::size_t n = x.rows();
   if (n == 0) throw std::invalid_argument("Svr::fit: empty training set");
@@ -123,7 +150,10 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   const double c = params_.c;
   const double eps = params_.epsilon;
 
-  const KernelCache cache(x, params_.kernel);
+  // K is read only through the row cache: diagonal cells from diag(),
+  // every other cell from row(). The whole fit runs on the calling thread —
+  // a 4,240-entry row costs ~10 µs, less than a fan-out would.
+  KernelRowCache cache(x, params_.kernel, kKernelCacheBytes);
 
   // 2n-variable formulation: s < n carries label +1 (α), s >= n label −1 (α*).
   const std::size_t m = 2 * n;
@@ -138,15 +168,16 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   }
 
   const auto q = [&](std::size_t s, std::size_t t) -> double {
+    const float k = s % n == t % n ? cache.diag(s % n) : cache.row(s % n)[t % n];
     const double base = static_cast<double>(label[s]) * static_cast<double>(label[t]) *
-                        static_cast<double>(cache.at(s % n, t % n));
+                        static_cast<double>(k);
     return s == t ? base + params_.diag_jitter : base;
   };
 
   // Diagonal of Q (label signs square away), with the stabilising jitter.
   std::vector<double> q_diag(m);
   for (std::size_t s = 0; s < m; ++s) {
-    q_diag[s] = static_cast<double>(cache.at(s % n, s % n)) + params_.diag_jitter;
+    q_diag[s] = static_cast<double>(cache.diag(s % n)) + params_.diag_jitter;
   }
 
   std::int64_t iter = 0;
@@ -329,6 +360,8 @@ void Svr::fit(const Matrix& x, const std::vector<double>& y) {
   info_.iterations = iter;
   info_.converged = converged;
   info_.support_vectors = sv_.rows();
+  info_.kernel_rows_computed = cache.rows_computed();
+  info_.kernel_cache_peak_bytes = cache.peak_bytes();
   fitted_ = true;
 }
 

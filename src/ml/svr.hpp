@@ -11,7 +11,9 @@
 // subject to Σ y_s β_s = 0 with labels y_s = +1 (s < n) / −1 (s ≥ n).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,14 +24,71 @@
 namespace repro::ml {
 
 /// \brief Dense symmetric kernel matrix over the rows of `x`, row-major
-/// float storage of size rows² — the SVR training-cache fill.
+/// float storage of size rows² — the reference the trainer's row cache is
+/// tested against, and the `simd_kernel_matrix` perf case.
 ///
-/// This is the production build path (batched SIMD evaluate_row per row,
-/// block-tiled mirror writes, parallel over the thread pool, and
-/// bit-deterministic at any thread count or SIMD backend); exposed so
-/// benchmarks and tests measure the real algorithm instead of a copy.
+/// Batched SIMD evaluate_row per row over the upper triangle, block-tiled
+/// mirror writes, parallel over the thread pool, and bit-deterministic at
+/// any thread count or SIMD backend. Training does not use it: Svr::fit
+/// reads K through KernelRowCache.
 [[nodiscard]] std::vector<float> build_kernel_matrix_f32(const Matrix& x,
                                                          const KernelFunction& kernel);
+
+/// Row-storage budget of the kernel row cache behind every Svr::fit. At the
+/// paper's 4,240 training samples it holds 1,978 rows, more than either
+/// SVR's SMO run reads (1,592 linear, 942 RBF), so no row is computed twice.
+inline constexpr std::size_t kKernelCacheBytes = std::size_t{32} << 20;
+
+/// \brief The SVR trainer's view of the kernel matrix: rows computed on
+/// demand and kept in a least-recently-used cache under a byte budget, as
+/// LIBSVM does (Chang & Lin, ACM TIST 2011).
+///
+/// A missing row i is `evaluate_row(x.row(i), x, 0, n)` cast to float, and
+/// the diagonal is computed once, up front. Every cell equals the one
+/// build_kernel_matrix_f32 holds, bit for bit: the kernels are bitwise
+/// symmetric under the 4-lane contract and evaluate_row is free of batch
+/// boundaries (docs/DETERMINISM.md). The cache keeps
+/// max(2, min(n, budget / (4n))) rows; a slot's storage becomes resident
+/// when it is first filled, so memory is O(min(budget, touched rows) + n).
+///
+/// A pointer returned by row() stays valid until its row is evicted, and
+/// the next call never evicts the row returned most recently — SMO holds
+/// row i while it fetches row j. Not thread-safe: one cache per fit.
+class KernelRowCache {
+ public:
+  KernelRowCache(const Matrix& x, const KernelFunction& kernel, std::size_t budget_bytes);
+
+  /// Row i of K, n floats.
+  [[nodiscard]] const float* row(std::size_t i);
+  /// K(i, i).
+  [[nodiscard]] float diag(std::size_t i) const noexcept { return diag_[i]; }
+
+  /// Rows filled so far, counting each recomputation after an eviction.
+  [[nodiscard]] std::size_t rows_computed() const noexcept { return rows_computed_; }
+  /// Bytes of row storage ever written: the peak, since slots are reused.
+  [[nodiscard]] std::size_t peak_bytes() const noexcept {
+    return row_of_.size() * n_ * sizeof(float);
+  }
+
+ private:
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  const Matrix& x_;
+  KernelFunction kernel_;
+  std::size_t n_;
+  std::size_t max_slots_;
+  std::vector<float> diag_;
+  std::vector<double> buf_;  // evaluate_row scratch, n doubles
+  /// max_slots_ rows of n floats, left uninitialized: the pages of a slot
+  /// become resident when its first row is written, and the whole block
+  /// goes back to the system when the fit ends.
+  std::unique_ptr<float[]> storage_;
+  std::vector<std::size_t> slot_of_;     // row -> slot, or kNoSlot
+  std::vector<std::size_t> row_of_;      // slot -> row, slots in use
+  std::vector<std::uint64_t> last_use_;  // slot -> clock_ at its last request
+  std::uint64_t clock_ = 0;
+  std::size_t rows_computed_ = 0;
+};
 
 struct SvrParams {
   KernelFunction kernel = KernelFunction::linear();
@@ -51,6 +110,9 @@ struct SvrTrainingInfo {
   std::int64_t iterations = 0;
   bool converged = false;
   std::size_t support_vectors = 0;
+  /// KernelRowCache diagnostics of the fit; not serialized (0 after load).
+  std::size_t kernel_rows_computed = 0;
+  std::size_t kernel_cache_peak_bytes = 0;
 };
 
 class Svr final : public Regressor {

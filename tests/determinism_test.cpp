@@ -172,6 +172,67 @@ TEST(DeterminismTest, SvrTrainingIsThreadCountInvariant) {
   }
 }
 
+// The trainer reads K only through KernelRowCache. Under a 3-row budget
+// nearly every request evicts, and each row computed alone must still equal
+// the dense reference bit for bit — including the row held from the previous
+// request, as SMO holds row i while it fetches row j.
+TEST(DeterminismTest, KernelRowCacheMatchesDenseMatrixUnderEviction) {
+  SimdGuard simd_guard;
+  constexpr std::size_t kRows = 200;
+  constexpr std::size_t kRequests = 2400;
+  constexpr std::size_t kRowBytes = kRows * sizeof(float);
+  rm::Matrix x;
+  std::vector<double> y;
+  make_dataset(kRows, 8, 0x4C2C, x, y);
+
+  for (const auto& kernel : kKernels) {
+    for (bool simd : {true, false}) {
+      rs::set_enabled(simd);
+      const std::string where =
+          std::string(rm::to_string(kernel.type)) + " simd=" + (simd ? "1" : "0");
+      const std::vector<float> dense = rm::build_kernel_matrix_f32(x, kernel);
+      rm::KernelRowCache cache(x, kernel, 3 * kRowBytes);
+      for (std::size_t i = 0; i < kRows; ++i) {
+        const float d = cache.diag(i);
+        ASSERT_EQ(std::memcmp(&dense[i * kRows + i], &d, sizeof d), 0)
+            << where << " diag " << i;
+      }
+
+      // Every row once in shuffled order, then uniform draws mixed with
+      // re-requests of the last three rows (cache hits).
+      std::vector<std::size_t> order(kRows);
+      for (std::size_t i = 0; i < kRows; ++i) order[i] = i;
+      rc::Xoshiro256 rng(0x5EC5);
+      rng.shuffle(order);
+      std::array<std::size_t, 3> recent{};
+      const float* held = nullptr;
+      std::size_t held_row = 0;
+      for (std::size_t step = 0; step < kRequests; ++step) {
+        std::size_t i = 0;
+        if (step < kRows) {
+          i = order[step];
+        } else if (rng.uniform() < 0.3) {
+          i = recent[rng.uniform_index(recent.size())];
+        } else {
+          i = static_cast<std::size_t>(rng.uniform_index(kRows));
+        }
+        const float* current = cache.row(i);
+        ASSERT_EQ(std::memcmp(current, &dense[i * kRows], kRowBytes), 0)
+            << where << " step " << step << " row " << i;
+        if (held != nullptr) {
+          ASSERT_EQ(std::memcmp(held, &dense[held_row * kRows], kRowBytes), 0)
+              << where << " step " << step << " held row " << held_row;
+        }
+        held = current;
+        held_row = i;
+        recent[step % recent.size()] = i;
+      }
+      EXPECT_GT(cache.rows_computed(), kRows) << where;
+      EXPECT_EQ(cache.peak_bytes(), 3 * kRowBytes) << where;
+    }
+  }
+}
+
 TEST(DeterminismTest, SvrBatchPredictMatchesPredictOneBitForBit) {
   PoolGuard guard;
   SimdGuard simd_guard;

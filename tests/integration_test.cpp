@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/evaluation.hpp"
+#include "ml/svr.hpp"
 
 namespace rco = repro::core;
 namespace rg = repro::gpusim;
@@ -41,6 +42,22 @@ TEST(PipelineTest, TrainingSetMatchesPaperScale) {
   EXPECT_EQ(p.training_suite().size(), 106u);             // §3.3
   EXPECT_EQ(p.model().training_configs().size(), 40u);    // §3.3
   EXPECT_EQ(p.model().training_samples(), 4240u);         // 106 x 40
+}
+
+// Both SVRs fit through the kernel row cache: its peak stays within the
+// budget, which is below what the dense 4,240² float matrix would take.
+TEST(PipelineTest, TrainerKernelCacheStaysWithinBudget) {
+  const auto& model = pipeline().model();
+  const std::size_t n = model.training_samples();
+  for (const repro::ml::Regressor* regressor : {&model.speedup_model(), &model.energy_model()}) {
+    const auto* svr = dynamic_cast<const repro::ml::Svr*>(regressor);
+    ASSERT_NE(svr, nullptr) << regressor->name();
+    const auto& info = svr->training_info();
+    EXPECT_GT(info.kernel_rows_computed, 0u) << svr->name();
+    EXPECT_GT(info.kernel_cache_peak_bytes, 0u) << svr->name();
+    EXPECT_LE(info.kernel_cache_peak_bytes, repro::ml::kKernelCacheBytes) << svr->name();
+    EXPECT_LT(info.kernel_cache_peak_bytes, n * n * sizeof(float)) << svr->name();
+  }
 }
 
 TEST(PipelineTest, EvaluationConfigsSpanAllMemoryLevels) {
