@@ -53,7 +53,8 @@ inline constexpr std::size_t kKernelCacheBytes = std::size_t{32} << 20;
 ///
 /// A pointer returned by row() stays valid until its row is evicted, and
 /// the next call never evicts the row returned most recently — SMO holds
-/// row i while it fetches row j. Not thread-safe: one cache per fit.
+/// row i while it fetches row j. `x` must outlive the cache. Not
+/// thread-safe: one cache per fit.
 class KernelRowCache {
  public:
   KernelRowCache(const Matrix& x, const KernelFunction& kernel, std::size_t budget_bytes);
@@ -80,8 +81,7 @@ class KernelRowCache {
   std::vector<float> diag_;
   std::vector<double> buf_;  // evaluate_row scratch, n doubles
   /// max_slots_ rows of n floats, left uninitialized: the pages of a slot
-  /// become resident when its first row is written, and the whole block
-  /// goes back to the system when the fit ends.
+  /// become resident when its first row is written.
   std::unique_ptr<float[]> storage_;
   std::vector<std::size_t> slot_of_;     // row -> slot, or kNoSlot
   std::vector<std::size_t> row_of_;      // slot -> row, slots in use
