@@ -704,7 +704,7 @@ CaseResult bench_serving_hotpath(std::size_t n, int reps) {
   // document lives in a per-connection arena reset after each message, and
   // the reply is serialized _into one pooled buffer.
   common::BufferPool pool;
-  serve::MessageSplitter pooled_splitter(1 << 20, /*accept_binary=*/true, &pool);
+  serve::MessageSplitter pooled_splitter(1 << 20, &pool);
   common::Arena arena;
   auto reply_lease = pool.acquire();
   std::string& reply = *reply_lease;
@@ -739,7 +739,7 @@ bool run_alloc_report() {
   for (const bool binary : {false, true}) {
     const std::string& wire = binary ? fx.binary_request : fx.json_request;
     common::BufferPool pool;
-    serve::MessageSplitter splitter(1 << 20, /*accept_binary=*/true, &pool);
+    serve::MessageSplitter splitter(1 << 20, &pool);
     common::Arena arena;
     auto reply_lease = pool.acquire();
     std::string& reply = *reply_lease;

@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   };
   std::printf("repro_fleet: %llu connections, %llu requests, "
               "%llu redispatches, %llu backend failures, %llu reconnects; "
-              "%llu spawns, %llu crashes, %llu restarts, %llu chaos kills\n",
+              "%llu spawns, %llu crashes, %llu chaos kills\n",
               count("repro_balancer_connections_total"),
               count("repro_balancer_requests_total"),
               count("repro_balancer_redispatches_total"),
@@ -238,7 +238,6 @@ int main(int argc, char** argv) {
               count("repro_balancer_reconnects_total"),
               static_cast<unsigned long long>(lifecycle.spawns),
               static_cast<unsigned long long>(lifecycle.crashes),
-              static_cast<unsigned long long>(lifecycle.restarts),
               static_cast<unsigned long long>(lifecycle.chaos_kills));
   return 0;
 }

@@ -16,11 +16,6 @@ Predictor::Builder& Predictor::Builder::device(gpusim::DeviceModel device) {
   return *this;
 }
 
-Predictor::Builder& Predictor::Builder::sim_options(gpusim::SimOptions options) {
-  sim_options_ = options;
-  return *this;
-}
-
 Predictor::Builder& Predictor::Builder::backend(
     std::unique_ptr<MeasurementBackend> backend) {
   backend_ = std::move(backend);
@@ -61,11 +56,6 @@ Predictor::Builder& Predictor::Builder::cache(ModelCache& cache) {
   return *this;
 }
 
-Predictor::Builder& Predictor::Builder::memoize(bool on) {
-  memoize_ = on;
-  return *this;
-}
-
 common::Result<Predictor> Predictor::Builder::build() {
   // Validate the cheap-to-check axes before any backend or suite work, so a
   // misconfigured builder fails in microseconds, not after a training pass.
@@ -96,10 +86,7 @@ common::Result<Predictor> Predictor::Builder::build() {
 
   std::unique_ptr<MeasurementBackend> backend = std::move(backend_);
   if (backend == nullptr) {
-    backend = std::make_unique<SimulatorBackend>(device_, sim_options_);
-  }
-  if (memoize_) {
-    backend = std::make_unique<CachingBackend>(std::move(backend));
+    backend = std::make_unique<SimulatorBackend>(device_);
   }
 
   // The default suite is generated here, inside the trainer, so a cache hit

@@ -134,9 +134,9 @@ class Predictor::Builder {
  public:
   /// Measurement device (default: the simulated Titan X).
   Builder& device(gpusim::DeviceModel device);
-  Builder& sim_options(gpusim::SimOptions options);
 
-  /// Custom measurement backend; overrides device()/sim_options().
+  /// Custom measurement backend (a CachingBackend to memoize, a trace
+  /// replay, …); overrides device().
   Builder& backend(std::unique_ptr<MeasurementBackend> backend);
 
   /// Registry keys for the two objective models (see
@@ -156,21 +156,16 @@ class Predictor::Builder {
   /// not hyperparameters. The cache must outlive build().
   Builder& cache(ModelCache& cache);
 
-  /// Wrap the backend in a memoizing CachingBackend.
-  Builder& memoize(bool on = true);
-
   /// Assemble the backend, then train (or load the cached model). The
   /// default suite is generated only when a model is actually trained.
   [[nodiscard]] common::Result<Predictor> build();
 
  private:
   gpusim::DeviceModel device_ = gpusim::DeviceModel::titan_x();
-  gpusim::SimOptions sim_options_{};
   std::unique_ptr<MeasurementBackend> backend_;
   TrainingOptions training_{};
   std::optional<std::vector<benchgen::MicroBenchmark>> suite_;
   ModelCache* cache_ = nullptr;
-  bool memoize_ = false;
 };
 
 }  // namespace repro::core

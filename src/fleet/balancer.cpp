@@ -16,6 +16,7 @@
 #include "common/buffer_pool.hpp"
 #include "common/log.hpp"
 #include "common/net.hpp"
+#include "serve/client.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 
@@ -23,32 +24,35 @@ namespace repro::fleet {
 
 namespace {
 
+/// Connect attempts at start, with a backoff from 50 ms (fleet startup
+/// races); a reconnect tries once, and its backoff lives in the maintenance
+/// loop.
+constexpr int kStartConnectAttempts = 8;
+constexpr std::chrono::milliseconds kStartConnectBackoff{50};
+
 bool write_all(int fd, std::string_view data, std::chrono::milliseconds timeout) {
   return common::net::write_all(fd, data, timeout).status ==
          common::net::IoStatus::kOk;
 }
 
-struct BackendConn {
-  int fd = -1;
-  bool binary = false;  // negotiated framing for this backend connection
-};
-
-common::Result<BackendConn> connect_endpoint(const BackendEndpoint& endpoint,
-                                             const serve::ConnectOptions& options) {
+/// Connect to a worker, negotiate binary protocol 2 (the one framing the
+/// front speaks to workers) and return the connected fd. A worker that does
+/// not negotiate, or dies mid-handshake, is a failed connect. The handshake
+/// is backend I/O, so `io_timeout` bounds it.
+common::Result<int> connect_endpoint(const BackendEndpoint& endpoint, int attempts,
+                                     std::chrono::milliseconds io_timeout) {
+  serve::ConnectOptions options;
+  options.attempts = attempts;
+  options.initial_backoff = kStartConnectBackoff;
+  options.io_timeout = io_timeout;
   auto client = !endpoint.unix_path.empty()
                     ? serve::SocketClient::connect_unix(endpoint.unix_path, options)
                     : serve::SocketClient::connect_tcp(endpoint.tcp_port, options);
   if (!client.ok()) return client.error();
-  // Negotiate per backend connection: a mixed fleet (some workers upgraded,
-  // some not) works — each backend is spoken to in its own framing, and
-  // protocol 0 just means this one stays on JSON lines. An IO failure here
-  // is a connect failure (the worker died mid-handshake).
-  auto version = client.value().negotiate_binary();
-  if (!version.ok()) return version.error();
-  BackendConn conn;
-  conn.binary = version.value() >= 1;
-  conn.fd = client.value().release_fd();
-  return conn;
+  if (auto version = client.value().negotiate_binary(); !version.ok()) {
+    return version.error();
+  }
+  return client.value().release_fd();
 }
 
 std::string endpoint_name(const BackendEndpoint& endpoint) {
@@ -98,15 +102,13 @@ struct Balancer::Impl {
     /// older generation must not touch the (possibly recycled) fd.
     std::uint64_t generation = 0;
     std::atomic<bool> alive{false};
-    /// Framing negotiated for the current connection (re-negotiated on every
-    /// reconnect — a worker may be replaced by an older or newer binary).
-    std::atomic<bool> binary{false};
     bool reader_exited = false;  // reader finished; maintenance may join+close
     std::uint64_t next_id = 1;
     std::map<std::uint64_t, PendingPtr> pending;  // ordered: redispatch in id order
 
-    /// Serializes writes from concurrent client connections; close() takes
-    /// both mutexes, so a write never races the fd teardown.
+    /// Held across every socket write, serializing the client connections
+    /// that share this backend connection. The fd is closed only under both
+    /// mutexes, so it stays open for as long as a write holds this one.
     std::mutex write_mutex;
 
     std::atomic<std::size_t> outstanding{0};
@@ -153,8 +155,7 @@ struct Balancer::Impl {
   obs::Counter* obs_backend_failures = nullptr;
   obs::Counter* obs_reconnects = nullptr;
 
-  /// Client connections: their options (the buffer pool behind every
-  /// splitter on both sides of the balancer lives here too) and listener.
+  /// Client connections: their options and listener.
   serve::ConnectionOptions connection;
   std::unique_ptr<serve::Listener> listener;
 
@@ -163,7 +164,7 @@ struct Balancer::Impl {
   void start_reader(Backend& backend);
   void backend_reader(Backend& backend);
   void teardown_backend(Backend& backend);
-  Backend* pick_backend(bool need_binary = false);
+  Backend* pick_backend();
   void dispatch(const PendingPtr& pending);
   void fail_pending(const PendingPtr& pending, const common::Error& error);
 
@@ -179,23 +180,22 @@ struct Balancer::Impl {
     std::uint64_t generation = 0;
   };
   /// Register `pending` on `backend` under a fresh backend id, then write
-  /// the bytes `encode(backend_id, binary)` returns for the backend's
-  /// framing. On a failed write, reclaim the entry (unless the teardown got
-  /// there first) and shut the fd down so the backend reader runs the
-  /// teardown.
+  /// the frame `encode(backend_id)` returns. On a failed write, reclaim the
+  /// entry unless the teardown got there first.
   template <class Encode>
   Sent send(Backend& backend, const PendingPtr& pending, Encode&& encode);
-  /// Write `bytes` under write_mutex (client connections share the one
-  /// backend connection) and the generation check (a sender that lost a
-  /// race with a reconnect stays off the new connection's fd).
+  /// Write `bytes` under write_mutex alone, so the backend's reader can
+  /// match the replies it already got while a write stalls. A sender that
+  /// lost a race with a reconnect (its generation is stale) stays off the
+  /// new connection's fd. A failed write may have left part of a frame on
+  /// the stream, so it takes the backend out of rotation and shuts the fd
+  /// down; the reader then runs the teardown.
   bool write_to_backend(Backend& backend, std::uint64_t generation,
                         std::string_view bytes);
   void send_health_ping(Backend& backend);
-  /// Send a balancer-originated request to this one backend, bypassing
+  /// Send a balancer-originated request frame to this one backend, bypassing
   /// pick_backend — health pings and metrics scrapes are per-backend by
-  /// nature. Sent as a JSON line (framing is detected per message, so it
-  /// interleaves safely with binary traffic). On failure the pending
-  /// promise resolves with a retryable error.
+  /// nature. On failure the pending promise resolves with a retryable error.
   void send_to_backend(Backend& backend, const PendingPtr& pending);
   [[nodiscard]] double uptime_s() const;
 
@@ -232,13 +232,8 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   serve::ConnectionOptions& connection = impl.connection;
   connection.name = "Balancer";
   connection.max_line_bytes = options.max_line_bytes;
-  // The balancer negotiates for itself: its client-facing connections
-  // always speak both framings, whatever the workers speak.
-  connection.enable_binary = true;
   connection.max_inflight = options.max_inflight;
   connection.write_timeout = options.io_timeout;
-  connection.pool = options.buffer_pool != nullptr ? options.buffer_pool
-                                                   : &common::BufferPool::global();
   connection.connections = registry.counter("repro_balancer_connections_total");
   connection.protocol_errors = registry.counter("repro_balancer_protocol_errors_total");
   connection.peak_message_bytes = registry.gauge("repro_balancer_peak_message_bytes");
@@ -249,10 +244,9 @@ common::Result<std::unique_ptr<Balancer>> Balancer::start(
   for (auto& endpoint : backends) {
     auto backend = std::make_unique<Impl::Backend>();
     backend->endpoint = std::move(endpoint);
-    auto conn = connect_endpoint(backend->endpoint, options.connect);
-    if (!conn.ok()) return conn.error();
-    backend->fd = conn.value().fd;
-    backend->binary.store(conn.value().binary, std::memory_order_release);
+    auto fd = connect_endpoint(backend->endpoint, kStartConnectAttempts, options.io_timeout);
+    if (!fd.ok()) return fd.error();
+    backend->fd = fd.value();
     backend->generation = 1;
     backend->alive.store(true, std::memory_order_release);
     impl.backends.push_back(std::move(backend));
@@ -276,8 +270,7 @@ void Balancer::Impl::start_reader(Backend& backend) {
 
 void Balancer::Impl::backend_reader(Backend& backend) {
   const int fd = backend.fd;  // stable for this reader's lifetime
-  serve::MessageSplitter splitter(options.max_line_bytes, /*accept_binary=*/true,
-                                  connection.pool);
+  serve::MessageSplitter splitter(options.max_line_bytes, &common::BufferPool::global());
   char chunk[4096];
   bool read_loop_done = false;
   // Progress-based liveness: read in short ticks; a backend that stays
@@ -320,8 +313,7 @@ void Balancer::Impl::backend_reader(Backend& backend) {
       const serve::WireMessage& message = *next.value();
 
       auto response = [&]() -> common::Result<serve::WireResponse> {
-        if (!message.binary) return serve::parse_response(message.payload);
-        if (message.frame != serve::binary::FrameType::kResponse) {
+        if (!message.binary || message.frame != serve::binary::FrameType::kResponse) {
           return common::parse_error("Balancer: unexpected frame from worker");
         }
         return serve::binary::parse_response(message.payload);
@@ -396,11 +388,9 @@ void Balancer::Impl::teardown_backend(Backend& backend) {
   }
 }
 
-Balancer::Impl::Backend* Balancer::Impl::pick_backend(bool need_binary) {
+Balancer::Impl::Backend* Balancer::Impl::pick_backend() {
   // Least-loaded among the live backends; the rotating scan start makes
   // ties round-robin (the fallback when loads are equal, e.g. all zero).
-  // A chunk stream needs a binary-framing backend — its chunks cannot be
-  // expressed on a JSON-only connection.
   const std::size_t n = backends.size();
   const std::size_t start = rr_next.fetch_add(1, std::memory_order_relaxed) % n;
   Backend* best = nullptr;
@@ -408,7 +398,6 @@ Balancer::Impl::Backend* Balancer::Impl::pick_backend(bool need_binary) {
   for (std::size_t i = 0; i < n; ++i) {
     Backend* candidate = backends[(start + i) % n].get();
     if (!candidate->alive.load(std::memory_order_acquire)) continue;
-    if (need_binary && !candidate->binary.load(std::memory_order_acquire)) continue;
     const std::size_t load = candidate->outstanding.load(std::memory_order_relaxed);
     if (best == nullptr || load < best_load) {
       best = candidate;
@@ -442,23 +431,13 @@ Balancer::Impl::Sent Balancer::Impl::send(Backend& backend, const PendingPtr& pe
     backend.pending.emplace(sent.backend_id, pending);
   }
   backend.outstanding.fetch_add(1, std::memory_order_relaxed);
-  const std::string bytes =
-      encode(sent.backend_id, backend.binary.load(std::memory_order_acquire));
-  if (write_to_backend(backend, sent.generation, bytes)) return sent;
-  // The worker died between pick and write. Wake the reader so the teardown
-  // runs, and reclaim the entry unless the teardown already did — then the
-  // teardown owns its re-dispatch or failure, and must not see it doubled.
-  // The backend leaves rotation now, not when its reader gets scheduled:
-  // otherwise the caller's next pick can land on the same dead worker for
-  // every remaining attempt. Reconnection keys off reader_exited and fd.
+  if (write_to_backend(backend, sent.generation, encode(sent.backend_id))) return sent;
+  // Reclaim the entry unless the teardown already did — then the teardown
+  // owns its re-dispatch or failure, and must not see it doubled.
   bool ours = false;
   {
     std::lock_guard lock(backend.state_mutex);
     ours = backend.pending.erase(sent.backend_id) > 0;
-    if (backend.generation == sent.generation) {
-      backend.alive.store(false, std::memory_order_release);
-      if (backend.fd >= 0) ::shutdown(backend.fd, SHUT_RDWR);
-    }
   }
   if (ours) backend.outstanding.fetch_sub(1, std::memory_order_relaxed);
   sent.status = ours ? Sent::kFailed : Sent::kOrphaned;
@@ -468,9 +447,22 @@ Balancer::Impl::Sent Balancer::Impl::send(Backend& backend, const PendingPtr& pe
 bool Balancer::Impl::write_to_backend(Backend& backend, std::uint64_t generation,
                                       std::string_view bytes) {
   std::lock_guard wlock(backend.write_mutex);
+  int fd = -1;
+  {
+    std::lock_guard slock(backend.state_mutex);
+    if (backend.generation != generation || backend.fd < 0) return false;
+    fd = backend.fd;
+  }
+  if (write_all(fd, bytes, options.io_timeout)) return true;
+  // write_mutex keeps this connection current: no reconnect can replace it
+  // before the fd is closed. The backend leaves rotation now, not when its
+  // reader gets scheduled: otherwise the next pick can land on the same dead
+  // worker for every remaining attempt. Reconnection keys off reader_exited
+  // and fd.
   std::lock_guard slock(backend.state_mutex);
-  if (backend.generation != generation || backend.fd < 0) return false;
-  return write_all(backend.fd, bytes, options.io_timeout);
+  backend.alive.store(false, std::memory_order_release);
+  ::shutdown(fd, SHUT_RDWR);
+  return false;
 }
 
 void Balancer::Impl::dispatch(const PendingPtr& pending) {
@@ -513,16 +505,11 @@ void Balancer::Impl::dispatch(const PendingPtr& pending) {
     ++pending->attempts;
     obs::stamp(pending->trace, pending->attempts == 1 ? "balancer.dispatch"
                                                       : "balancer.redispatch");
-    const Sent sent = send(*backend, pending, [&](std::uint64_t backend_id, bool binary) {
+    const Sent sent = send(*backend, pending, [&](std::uint64_t backend_id) {
       serve::WireRequest request = pending->request;
       request.id = backend_id;
       if (request.deadline_ms.has_value()) request.deadline_ms = remaining_ms;
-      // Speak the backend's negotiated framing; the request itself is
-      // framing-agnostic, so JSON clients ride binary backends and vice versa.
-      if (binary) return serve::binary::format_request_frame(request);
-      std::string line = serve::format_request(request);
-      line.push_back('\n');
-      return line;
+      return serve::binary::format_request_frame(request);
     });
     switch (sent.status) {
       case Sent::kOk: obs_dispatches->inc(); return;
@@ -534,12 +521,10 @@ void Balancer::Impl::dispatch(const PendingPtr& pending) {
 }
 
 void Balancer::Impl::send_to_backend(Backend& backend, const PendingPtr& pending) {
-  const Sent sent = send(backend, pending, [&](std::uint64_t backend_id, bool /*binary*/) {
+  const Sent sent = send(backend, pending, [&](std::uint64_t backend_id) {
     serve::WireRequest request = pending->request;
     request.id = backend_id;
-    std::string line = serve::format_request(request);
-    line.push_back('\n');
-    return line;
+    return serve::binary::format_request_frame(request);
   });
   if (sent.status == Sent::kNotAlive) {
     fail_pending(pending, common::unavailable("Balancer: backend not alive"));
@@ -670,13 +655,11 @@ void Balancer::Impl::maintenance_loop() {
                          now >= backend.next_reconnect;
       }
       if (want_reconnect) {
-        serve::ConnectOptions one_shot;  // backoff lives in next_reconnect
-        auto conn = connect_endpoint(backend.endpoint, one_shot);
-        if (conn.ok()) {
+        auto fd = connect_endpoint(backend.endpoint, 1, options.io_timeout);
+        if (fd.ok()) {
           {
             std::lock_guard lock(backend.state_mutex);
-            backend.fd = conn.value().fd;
-            backend.binary.store(conn.value().binary, std::memory_order_release);
+            backend.fd = fd.value();
             ++backend.generation;
             backend.alive.store(true, std::memory_order_release);
           }
@@ -747,10 +730,10 @@ common::Result<Balancer::Impl::StreamRoute> Balancer::Impl::open_stream(
   // to its backend.
   while (entry->attempts < options.max_dispatch_attempts &&
          !stopping.load(std::memory_order_acquire)) {
-    Backend* backend = pick_backend(/*need_binary=*/true);
+    Backend* backend = pick_backend();
     if (backend == nullptr) break;
     ++entry->attempts;
-    const Sent sent = send(*backend, entry, [&](std::uint64_t backend_id, bool /*binary*/) {
+    const Sent sent = send(*backend, entry, [&](std::uint64_t backend_id) {
       serve::binary::SourceBegin forward;
       forward.id = backend_id;
       forward.kernel = begin.kernel;

@@ -13,11 +13,17 @@
 // including the open-stream bound at max_inflight. So the wire contract is
 // byte for byte the one repro_serve speaks directly, by construction. What
 // the balancer adds is its owner side: a predict request is forwarded, a
-// chunk stream is routed to one binary-framing worker and forwarded frame
-// by frame without buffering, and the worker's reply comes back as the
-// client's. Request ids are rewritten per backend (each backend connection
-// has its own id space) and mapped back before the reply is written, so
-// clients keep their own ids and strict per-connection response order.
+// chunk stream is routed to one worker and forwarded frame by frame without
+// buffering, and the worker's reply comes back as the client's. Request ids
+// are rewritten per backend (each backend connection has its own id space)
+// and mapped back before the reply is written, so clients keep their own
+// ids and strict per-connection response order.
+//
+// Whatever framing a client speaks, the front speaks binary protocol 2 to
+// every worker: each backend connection negotiates it with "hello" (bounded
+// by io_timeout), and a worker that does not negotiate is a failed connect.
+// Start-up connects retry 8 times with a backoff from 50 ms, riding out
+// workers that are still binding their sockets.
 //
 // Fault handling: when a backend connection drops (worker crash, graceful
 // restart) every request pending on it is re-dispatched to a live worker,
@@ -49,10 +55,8 @@
 #include <string>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
-#include "serve/client.hpp"
 
 namespace repro::fleet {
 
@@ -72,26 +76,19 @@ struct BalancerOptions {
   /// Per client connection, like ServerOptions::max_inflight: the
   /// pipelining window and the bound on open chunk streams.
   std::size_t max_inflight = 64;
-  /// Backoff for the initial backend connects (fleet startup races).
-  serve::ConnectOptions connect{8, std::chrono::milliseconds(50),
-                                std::chrono::milliseconds(1000)};
   /// Period of the maintenance tick (reconnects + health pings). Zero
   /// disables pings but keeps reconnects on a 50ms tick.
   std::chrono::milliseconds health_interval{1000};
   /// A request is re-dispatched at most this many times before its client
   /// sees the unavailable error (guards against a fleet dying mid-burst).
   int max_dispatch_attempts = 4;
-  /// Progress timeout on backend I/O: a write that cannot make progress
-  /// fails the connection, and a backend that stays silent this long *while
-  /// requests are outstanding on it* is declared dead and torn down (its
-  /// pending requests re-dispatch). An idle backend connection never times
-  /// out — quiet is not dead. Also bounds client-facing reply writes.
+  /// Progress timeout on backend I/O: the hello handshake and every write
+  /// are bounded by it, a write that cannot make progress fails the
+  /// connection, and a backend that stays silent this long *while requests
+  /// are outstanding on it* is declared dead and torn down (its pending
+  /// requests re-dispatch). An idle backend connection never times out —
+  /// quiet is not dead. Also bounds client-facing reply writes.
   std::chrono::milliseconds io_timeout{10000};
-  /// Pool behind every splitter input buffer (client connections and backend
-  /// readers) and every client connection's reply buffer. Null =
-  /// common::BufferPool::global(), the same pool the worker servers default
-  /// to. Must outlive the balancer.
-  common::BufferPool* buffer_pool = nullptr;
 };
 
 class Balancer {

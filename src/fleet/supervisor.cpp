@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -22,6 +21,10 @@ namespace {
 
 constexpr auto kPollInterval = std::chrono::milliseconds(100);
 constexpr auto kTermGrace = std::chrono::seconds(10);
+/// How long a (re)spawned worker gets to serve (supervisor.hpp).
+constexpr auto kReadyTimeout = std::chrono::seconds(300);
+/// Seed of the chaos victim sequence, so a soak kills the same order.
+constexpr std::uint64_t kChaosSeed = 1;
 
 /// fork/exec one worker with stdout+stderr appended to `log_path`. Only
 /// async-signal-safe calls between fork and exec (argv/envp are prepared in
@@ -89,15 +92,11 @@ struct Supervisor::Impl {
     std::string socket_path;
     std::string log_path;
     pid_t pid = -1;
-    bool restart_requested = false;
-    bool restart_done = false;
-    common::Status restart_status;
     std::thread monitor;
   };
 
   std::vector<std::unique_ptr<Worker>> workers;
-  mutable std::mutex mutex;          // workers' pid/flags + stats
-  std::condition_variable restart_cv;
+  mutable std::mutex mutex;  // workers' pids + stats
   std::atomic<bool> stopping{false};
   std::once_flag stop_once;
   Stats stats;
@@ -107,7 +106,7 @@ struct Supervisor::Impl {
   /// worker's own monitor sees the exit as a crash and respawns it — chaos
   /// mode only supplies the kills, recovery is the normal path under test.
   void chaos_loop() {
-    common::SplitMix64 rng(options.chaos_seed);
+    common::SplitMix64 rng(kChaosSeed);
     for (;;) {
       // Sleep in small slices so stop() is not delayed by a long interval.
       const auto until = std::chrono::steady_clock::now() + options.chaos_kill_interval;
@@ -151,7 +150,7 @@ struct Supervisor::Impl {
       worker.pid = pid.value();
       ++stats.spawns;
     }
-    return wait_serving(worker.socket_path, options.ready_timeout);
+    return wait_serving(worker.socket_path, kReadyTimeout);
   }
 
   void terminate(Worker& worker) {
@@ -182,21 +181,6 @@ struct Supervisor::Impl {
     for (;;) {
       if (stopping.load(std::memory_order_acquire)) return;
 
-      bool do_restart = false;
-      {
-        std::lock_guard lock(mutex);
-        do_restart = worker.restart_requested && !worker.restart_done;
-      }
-      if (do_restart) {
-        terminate(worker);
-        auto status = spawn_and_wait(worker);
-        std::lock_guard lock(mutex);
-        worker.restart_status = status;
-        worker.restart_done = true;
-        if (status.ok()) ++stats.restarts;
-        restart_cv.notify_all();
-      }
-
       pid_t pid;
       {
         std::lock_guard lock(mutex);
@@ -216,7 +200,7 @@ struct Supervisor::Impl {
           }
           common::log_warn() << "Supervisor: worker " << worker.socket_path
                              << " exited unexpectedly (status " << status << ")";
-          if (options.auto_restart && !stopping.load(std::memory_order_acquire)) {
+          if (!stopping.load(std::memory_order_acquire)) {
             if (auto st = spawn_and_wait(worker); !st.ok()) {
               common::log_error() << "Supervisor: respawn failed: "
                                   << st.error().to_string();
@@ -265,7 +249,7 @@ common::Result<std::unique_ptr<Supervisor>> Supervisor::start(
     ++supervisor->impl_->stats.spawns;
   }
   for (auto& worker : supervisor->impl_->workers) {
-    if (auto st = wait_serving(worker->socket_path, options.ready_timeout);
+    if (auto st = wait_serving(worker->socket_path, kReadyTimeout);
         !st.ok()) {
       supervisor->stop();
       return st.error();
@@ -297,21 +281,6 @@ std::vector<pid_t> Supervisor::pids() const {
   return out;
 }
 
-common::Status Supervisor::restart(std::size_t index) {
-  if (index >= impl_->workers.size()) {
-    return common::out_of_range("Supervisor: no worker " + std::to_string(index));
-  }
-  auto& worker = *impl_->workers[index];
-  std::unique_lock lock(impl_->mutex);
-  worker.restart_requested = true;
-  worker.restart_done = false;
-  impl_->restart_cv.wait(lock, [&] {
-    return worker.restart_done || impl_->stopping.load(std::memory_order_acquire);
-  });
-  worker.restart_requested = false;
-  return worker.restart_status;
-}
-
 Supervisor::Stats Supervisor::stats() const {
   std::lock_guard lock(impl_->mutex);
   return impl_->stats;
@@ -320,7 +289,6 @@ Supervisor::Stats Supervisor::stats() const {
 void Supervisor::stop() {
   std::call_once(impl_->stop_once, [this] {
     impl_->stopping.store(true, std::memory_order_release);
-    impl_->restart_cv.notify_all();
     if (impl_->chaos.joinable()) impl_->chaos.join();
     for (auto& worker : impl_->workers) {
       if (worker->monitor.joinable()) worker->monitor.join();

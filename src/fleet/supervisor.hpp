@@ -1,18 +1,19 @@
 // The fleet's worker lifecycle manager: fork/exec N `repro_serve`
-// processes, wait until each accepts connections, auto-respawn crashed
-// workers, and restart or stop them gracefully (SIGTERM → drain → exit).
+// processes, wait until each accepts connections, respawn crashed workers,
+// and stop them gracefully (SIGTERM → drain → exit).
 //
 // Each worker listens on its own Unix socket under socket_dir
 // (worker-<i>.sock) and logs to worker-<i>.log there. Readiness is probed
-// by connecting with the client's bounded backoff and completing a health
-// round trip — repro_serve only accepts after its model is trained or
-// loaded, so a successful probe means "serving", not just "spawned".
+// by connecting and completing a health round trip — repro_serve only
+// accepts after its model is trained or loaded, so a successful probe means
+// "serving", not just "spawned". A worker gets 300 s to serve, generous
+// because the first worker of a cold fleet trains the model.
 //
-// One monitor thread per worker owns that worker's state machine: it polls
-// waitpid(WNOHANG), respawns on unexpected exit (the balancer reconnects to
-// the same socket path by itself), and executes restart()/stop() commands.
-// A kill -9'd worker is therefore back in the fleet within roughly
-// poll-interval + model-load time, and no other worker is disturbed.
+// One monitor thread per worker polls waitpid(WNOHANG) and respawns the
+// worker on unexpected exit (the balancer reconnects to the same socket
+// path by itself). A kill -9'd worker is therefore back in the fleet within
+// roughly poll-interval + model-load time, and no other worker is
+// disturbed.
 #pragma once
 
 #include <sys/types.h>
@@ -40,17 +41,10 @@ struct SupervisorOptions {
   std::size_t workers = 2;
   /// Directory for the per-worker sockets and log files (must exist).
   std::string socket_dir;
-  /// How long spawn()/restart() waits for a worker to accept connections.
-  /// Generous by default: the first worker of a cold fleet trains the model.
-  std::chrono::seconds ready_timeout{300};
-  /// Respawn workers that exit without being asked to.
-  bool auto_restart = true;
-  /// Chaos mode: every this-many milliseconds, SIGKILL one randomly chosen
-  /// live worker (the regular monitor respawns it). Zero disables. Meant
-  /// for the chaos soak — pair with auto_restart, never with production.
+  /// Chaos mode: every this-many milliseconds, SIGKILL one live worker (the
+  /// regular monitor respawns it), chosen by a fixed-seed sequence. Zero
+  /// disables. Meant for the chaos soak, never for production.
   std::chrono::milliseconds chaos_kill_interval{0};
-  /// Seed for the chaos victim sequence (deterministic per seed).
-  std::uint64_t chaos_seed = 1;
 };
 
 class Supervisor {
@@ -68,14 +62,9 @@ class Supervisor {
   /// Current pid of each worker (changes across respawns).
   [[nodiscard]] std::vector<pid_t> pids() const;
 
-  /// Graceful rolling restart of one worker: SIGTERM (repro_serve drains
-  /// its connections and exits), wait, respawn, wait until serving again.
-  [[nodiscard]] common::Status restart(std::size_t index);
-
   struct Stats {
     std::uint64_t spawns = 0;       // initial spawns + respawns
     std::uint64_t crashes = 0;      // exits the supervisor did not request
-    std::uint64_t restarts = 0;     // explicit restart() calls completed
     std::uint64_t chaos_kills = 0;  // SIGKILLs delivered by chaos mode
   };
   [[nodiscard]] Stats stats() const;

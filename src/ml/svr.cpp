@@ -1,5 +1,9 @@
 #include "ml/svr.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -116,6 +120,20 @@ KernelRowCache::KernelRowCache(const Matrix& x, const KernelFunction& kernel,
     kernel_.evaluate_row(x_.row(i), x_, i, i + 1, buf_);
     diag_[i] = static_cast<float>(buf_[0]);
   }
+}
+
+KernelRowCache::~KernelRowCache() {
+  storage_.reset();
+#if defined(__GLIBC__)
+  // glibc maps a process's first row block on its own, and freeing it
+  // raises glibc's mmap and trim thresholds past the block size. Later
+  // blocks therefore come from the heap, and their touched pages would stay
+  // resident after the free: the trim hands them back. The block stays a
+  // malloc block on purpose: the raised thresholds keep the serving path's
+  // large per-request buffers on the heap, instead of mapping and faulting
+  // them in on every request.
+  malloc_trim(0);
+#endif
 }
 
 const float* KernelRowCache::row(std::size_t i) {

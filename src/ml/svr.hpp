@@ -58,6 +58,11 @@ inline constexpr std::size_t kKernelCacheBytes = std::size_t{32} << 20;
 class KernelRowCache {
  public:
   KernelRowCache(const Matrix& x, const KernelFunction& kernel, std::size_t budget_bytes);
+  /// Frees the row block and hands the heap's free pages back to the
+  /// system, so the rows a fit touched leave the process with its cache.
+  ~KernelRowCache();
+  KernelRowCache(const KernelRowCache&) = delete;
+  KernelRowCache& operator=(const KernelRowCache&) = delete;
 
   /// Row i of K, n floats.
   [[nodiscard]] const float* row(std::size_t i);

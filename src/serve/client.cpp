@@ -20,6 +20,9 @@ namespace repro::serve {
 
 namespace {
 
+/// Cap of the connect backoff's doubling delay.
+constexpr std::chrono::milliseconds kMaxBackoff{1000};
+
 common::Error errno_error(const std::string& what) {
   return common::io_error(what + ": " + std::strerror(errno));
 }
@@ -57,7 +60,7 @@ common::Result<int> connect_with_backoff(const ConnectOptions& options,
                          std::to_string(attempts) + ")");
     }
     if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, options.max_backoff);
+    backoff = std::min(backoff * 2, kMaxBackoff);
   }
 }
 
@@ -116,7 +119,6 @@ SocketClient::SocketClient(SocketClient&& other) noexcept
       deadline_ms_(other.deadline_ms_),
       next_id_(other.next_id_),
       binary_(other.binary_),
-      protocol_(other.protocol_),
       trace_enabled_(other.trace_enabled_),
       last_trace_(std::move(other.last_trace_)),
       splitter_(std::move(other.splitter_)),
@@ -131,7 +133,6 @@ SocketClient& SocketClient::operator=(SocketClient&& other) noexcept {
     deadline_ms_ = other.deadline_ms_;
     next_id_ = other.next_id_;
     binary_ = other.binary_;
-    protocol_ = other.protocol_;
     trace_enabled_ = other.trace_enabled_;
     last_trace_ = std::move(other.last_trace_);
     splitter_ = std::move(other.splitter_);
@@ -176,12 +177,8 @@ common::Result<core::Predictor::KernelPrediction> SocketClient::predict_source(
 common::Result<core::Predictor::KernelPrediction> SocketClient::predict_source_stream(
     const ChunkProvider& next_chunk, const std::string& kernel_name) {
   if (!binary_) {
-    // JSON peers have no chunk framing: gather the stream and fall back to
-    // one predict_source request. Same answer (chunk invariance), but the
-    // whole source crosses the wire as one line.
-    std::string source;
-    while (auto chunk = next_chunk()) source += *chunk;
-    return predict_source(source, kernel_name);
+    return common::invalid_argument(
+        "SocketClient: predict_source_stream needs a negotiated binary connection");
   }
   const std::uint64_t id = next_id_++;
   binary::SourceBegin begin;
@@ -217,26 +214,22 @@ common::Result<std::uint32_t> SocketClient::negotiate_binary() {
   request.id = next_id_++;
   request.kind = RequestKind::kHello;
   request.max_protocol = kProtocolVersion;
-  // The offer itself always goes as JSON — the one framing every peer,
-  // however old, can parse.
+  // The offer goes as a JSON line: nothing else is negotiated yet.
   if (auto st = send_line(format_request(request)); !st.ok()) return st.error();
   auto response = read_wire(request.id);
   if (!response.ok()) return response.error();
-  if (response.value().error.has_value()) {
-    // Any well-formed error reply proves the peer frames JSON correctly but
-    // does not serve hello (a pre-hello server's "unknown request type", a
-    // shedding backend's "unavailable"): that is the downgrade signal, not a
-    // failure — stay on JSON.
-    protocol_ = 0;
-    return 0;
-  }
+  if (response.value().error.has_value()) return *response.value().error;
   if (!response.value().protocol.has_value()) {
     return common::parse_error("SocketClient: expected a hello response");
   }
-  const std::uint32_t version = std::min(*response.value().protocol, kProtocolVersion);
-  binary_ = version >= 1;
-  protocol_ = version;
-  return version;
+  if (*response.value().protocol != kProtocolVersion) {
+    return common::unsupported("SocketClient: peer offers protocol " +
+                               std::to_string(*response.value().protocol) +
+                               ", this build speaks " +
+                               std::to_string(kProtocolVersion));
+  }
+  binary_ = true;
+  return kProtocolVersion;
 }
 
 std::vector<common::Result<core::Predictor::KernelPrediction>>
@@ -409,12 +402,7 @@ common::Result<WireMetrics> SocketClient::metrics() {
 }
 
 void SocketClient::maybe_trace(WireRequest& request) {
-  if (!trace_enabled_) return;
-  // An old binary peer (protocol 1) has no trace flag bit and would reject
-  // it as a protocol error; JSON peers ignore unknown members, so the JSON
-  // path always opts in.
-  if (binary_ && protocol_ < 2) return;
-  request.trace = request.id;
+  if (trace_enabled_) request.trace = request.id;
 }
 
 common::Result<core::Predictor::KernelPrediction> SocketClient::round_trip(

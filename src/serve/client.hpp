@@ -1,6 +1,7 @@
 // A small blocking client for the repro_serve wire protocol: connect to a
 // Unix or TCP endpoint, send line-delimited JSON requests (or, after
-// negotiate_binary(), length-prefixed binary frames), read responses. predict/predict_source are strict request→response round trips;
+// negotiate_binary(), binary frames of protocol 2), read responses.
+// predict/predict_source are strict request→response round trips;
 // predict_source_many pipelines — all requests are written back-to-back and
 // the responses (which the server returns in request order) are read
 // afterwards, so the server's shards can batch requests from one
@@ -32,14 +33,13 @@
 namespace repro::serve {
 
 /// Retry policy for the connect call itself (never for requests). The delay
-/// starts at initial_backoff and doubles per failed attempt, capped at
-/// max_backoff; attempts <= 1 preserves the old fail-fast behaviour. Only
-/// "server not up yet" errors are retried (ECONNREFUSED, ENOENT on a unix
-/// path, and friends) — a path that is too long fails immediately.
+/// starts at initial_backoff and doubles per failed attempt, capped at 1 s;
+/// attempts <= 1 fails fast. Only "server not up yet" errors are retried
+/// (ECONNREFUSED, ENOENT on a unix path, and friends) — a path that is too
+/// long fails immediately.
 struct ConnectOptions {
   int attempts = 1;
   std::chrono::milliseconds initial_backoff{25};
-  std::chrono::milliseconds max_backoff{1000};
   /// Per-operation socket timeout for every read and write on the connected
   /// client (progress-based, enforced with poll). A stalled or wedged server
   /// yields a retryable kUnavailable instead of hanging the caller forever.
@@ -82,29 +82,22 @@ class SocketClient {
   /// Streamed predict_source: chunks are framed and written as they are
   /// pulled from the provider, so neither side ever holds the whole source —
   /// the way to serve a file larger than the server's max_line_bytes. Needs
-  /// a negotiated binary connection; on a JSON connection the chunks are
-  /// concatenated into one ordinary predict_source request (correct, but
-  /// subject to the server's line bound). The reply is bit-identical to
-  /// predict_source on the concatenated bytes at any chunk split.
+  /// a negotiated binary connection: without one it returns invalid_argument
+  /// and writes nothing. The reply is bit-identical to predict_source on the
+  /// concatenated bytes at any chunk split.
   [[nodiscard]] common::Result<core::Predictor::KernelPrediction>
   predict_source_stream(const ChunkProvider& next_chunk,
                         const std::string& kernel_name = {});
 
-  /// Offer the server binary framing (one "hello" round trip). Returns the
-  /// negotiated protocol version: >= 1 switches this client's subsequent
-  /// requests to binary frames, 0 means the peer is JSON-only (any error
-  /// reply — an old server's "unknown request type", a shedding backend's
-  /// "unavailable" — is treated as 0, not a failure) and the connection
-  /// stays on JSON lines either way — no desync.
+  /// Offer the server binary framing (one JSON "hello" round trip). Returns
+  /// kProtocolVersion (2), and this client's subsequent requests go as
+  /// binary frames. A peer's error reply is returned as the error, and a
+  /// peer that settles on any other version is refused with unsupported;
+  /// either way the connection stays on JSON lines.
   [[nodiscard]] common::Result<std::uint32_t> negotiate_binary();
 
-  /// True once negotiate_binary() settled on protocol >= 1.
+  /// True once negotiate_binary() succeeded.
   [[nodiscard]] bool binary() const noexcept { return binary_; }
-
-  /// The version negotiate_binary() settled on (0 until negotiated, or when
-  /// the peer is JSON-only). Wire features gated on a version — the binary
-  /// trace flag needs >= 2 — check this, not binary().
-  [[nodiscard]] std::uint32_t protocol() const noexcept { return protocol_; }
 
   /// Default latency budget stamped on every subsequent prediction request
   /// (wire "deadline_ms"). The server answers deadline_exceeded instead of
@@ -116,10 +109,8 @@ class SocketClient {
 
   /// Ask the server for per-stage timing on every subsequent prediction
   /// request (wire "trace"; the trace id is the request id, so one id
-  /// follows the request end to end). On a binary connection the trace flag
-  /// needs negotiated protocol >= 2 — against an older peer the request is
-  /// simply sent untraced rather than rejected. The reply's stage table
-  /// lands in last_trace().
+  /// follows the request end to end), in either framing. The reply's stage
+  /// table lands in last_trace().
   void set_trace_enabled(bool enabled) noexcept { trace_enabled_ = enabled; }
 
   /// The trace carried by the most recently parsed response, if any (error
@@ -143,7 +134,6 @@ class SocketClient {
   [[nodiscard]] int release_fd() noexcept {
     splitter_ = MessageSplitter(kMaxMessageBytes);
     binary_ = false;
-    protocol_ = 0;
     last_trace_.reset();
     return std::exchange(fd_, -1);
   }
@@ -164,8 +154,7 @@ class SocketClient {
       std::uint64_t expect_id);
   [[nodiscard]] common::Result<core::Predictor::KernelPrediction> round_trip(
       const WireRequest& request);
-  /// Stamp the trace opt-in on a prediction request when enabled and the
-  /// negotiated framing can carry it.
+  /// Stamp the trace opt-in on a prediction request when enabled.
   void maybe_trace(WireRequest& request);
 
   int fd_ = -1;
@@ -173,7 +162,6 @@ class SocketClient {
   std::optional<double> deadline_ms_;
   std::uint64_t next_id_ = 1;
   bool binary_ = false;  // negotiated framing for requests this client sends
-  std::uint32_t protocol_ = 0;  // negotiated version; 0 = unnegotiated/JSON-only
   bool trace_enabled_ = false;
   std::optional<obs::Trace> last_trace_;
   MessageSplitter splitter_{kMaxMessageBytes};  // reply reassembly, both framings

@@ -121,16 +121,12 @@ struct ConnectionOptions {
   /// Bound on one JSON line or binary frame payload; beyond it the
   /// connection answers once and closes.
   std::size_t max_line_bytes = 1 << 20;
-  /// Accept binary frames and negotiate protocol > 0 on hello. When false a
-  /// 0xB1 byte is just a malformed JSON line, and hello answers 0.
-  bool enable_binary = true;
   /// The pipelining window: queued replies, and also open chunk streams. A
   /// Begin beyond it is refused with a retryable "unavailable".
   std::size_t max_inflight = 64;
-  /// Progress timeout on every reply write.
+  /// Progress timeout on every reply write: 30 s on a worker, the
+  /// balancer's io_timeout on the fleet front.
   std::chrono::milliseconds write_timeout{30000};
-  /// Pool behind the splitter's input buffer and the reply buffer.
-  common::BufferPool* pool = nullptr;
   /// Counted on the connection's own thread, before its first read.
   obs::Counter* connections = nullptr;
   obs::Counter* protocol_errors = nullptr;
@@ -196,7 +192,7 @@ class Connection {
         options_(options),
         window_(std::max<std::size_t>(1, options.max_inflight)),
         replies_(window_),
-        splitter_(options.max_line_bytes, options.enable_binary, options.pool) {}
+        splitter_(options.max_line_bytes, &common::BufferPool::global()) {}
   // The writer thread holds this object's address.
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -343,12 +339,9 @@ class Connection {
   void handle_request(WireRequest wire, bool binary) {
     switch (wire.kind) {
       case RequestKind::kHello:
-        // The reply is the min of the client's ceiling and ours — or 0
-        // when binary framing is off, telling the client to stay on JSON.
-        return push_immediate(
-            binary, wire.id,
-            Hello{options_.enable_binary ? std::min(wire.max_protocol, kProtocolVersion)
-                                         : 0});
+        // The reply is the min of the client's ceiling and ours.
+        return push_immediate(binary, wire.id,
+                              Hello{std::min(wire.max_protocol, kProtocolVersion)});
       // Introspection is answered on this thread: a health ping must not
       // queue behind the very backlog it reports.
       case RequestKind::kHealth: return push_immediate(binary, wire.id, owner_.health());
@@ -391,7 +384,7 @@ class Connection {
     // One pooled reply buffer for the whole connection: every reply is
     // encoded into it in place, so the steady state writes without
     // touching the heap.
-    auto lease = options_.pool->acquire();
+    auto lease = common::BufferPool::global().acquire();
     std::string& out = *lease;
     bool failed = false;
     while (auto pending = replies_.pop()) {

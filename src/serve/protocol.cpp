@@ -444,9 +444,9 @@ common::Result<WireRequest> parse_request(std::string_view line, common::Arena* 
       return request;
     }
     if (t == "hello") {
-      // Binary-framing negotiation. A server without this branch answers
-      // "unknown request type" — exactly the signal a client needs to stay
-      // on JSON lines, so the handshake downgrades instead of desyncing.
+      // Binary-framing negotiation. A peer without this branch answers
+      // "unknown request type", an ordinary reply line: the negotiation
+      // fails and the connection stays on JSON lines, without desync.
       if (features != nullptr || source != nullptr) {
         return common::parse_error("protocol: \"hello\" requests carry no payload");
       }
@@ -1490,8 +1490,7 @@ common::Result<std::optional<WireMessage>> MessageSplitter::next() {
   const std::string& buffer = *buffer_;
   for (;;) {
     if (pos_ >= buffer.size()) return std::optional<WireMessage>();
-    if (accept_binary_ &&
-        static_cast<unsigned char>(buffer[pos_]) == binary::kMagic) {
+    if (static_cast<unsigned char>(buffer[pos_]) == binary::kMagic) {
       if (buffer.size() - pos_ < binary::kHeaderBytes) {
         return std::optional<WireMessage>();  // header still arriving
       }

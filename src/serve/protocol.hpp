@@ -48,18 +48,20 @@
 // UTF-8 pass-through, \uXXXX escapes decoded for the BMP — sufficient for
 // and validated against this protocol.
 //
-// --- binary framing (protocol version 1) -------------------------------------
+// --- binary framing (protocol version 2) -------------------------------------
 //
 // JSON lines stay the default and the debug surface. A client may upgrade a
-// connection by sending a JSON "hello" request:
+// connection by sending a JSON "hello" request; the server answers the min
+// of the client's max_protocol and its own version, 2:
 //
-//   {"id": 1, "type": "hello", "max_protocol": 1}
-//     → {"id": 1, "hello": {"protocol": 1}}
+//   {"id": 1, "type": "hello", "max_protocol": 2}
+//     → {"id": 1, "hello": {"protocol": 2}}
 //
-// A server that predates "hello" answers it with a parse error, which the
-// client treats as a clean downgrade to JSON (no desync: the error reply is
-// a perfectly ordinary reply line). After a successful negotiation both
-// sides may frame messages as length-prefixed binary frames:
+// serve::SocketClient accepts protocol 2 only, and takes any other answer —
+// an error reply included — as a failed negotiation that leaves the
+// connection on JSON lines. The fleet front negotiates protocol 2 with every
+// worker. After a successful negotiation both sides may frame messages as
+// length-prefixed binary frames:
 //
 //   byte 0       magic 0xB1 (never the first byte of a JSON line)
 //   byte 1       frame type (FrameType below)
@@ -160,12 +162,10 @@ class JsonValue {
 
 // --- protocol messages --------------------------------------------------------
 
-/// Highest binary protocol version this build speaks. "hello" negotiates
-/// min(client max, server max); version 0 means "JSON lines only".
-/// Version 2 added the optional request trace flag (kFlagTrace) and the
-/// metrics kind to the binary framing. The JSON framing needs no version:
-/// its parser ignores unknown members, so "trace" is inherently
-/// backward compatible there.
+/// The binary protocol version this build speaks. A server answers "hello"
+/// with min(client max, 2); the client accepts 2 only. Version 2 carries the
+/// optional request trace flag (kFlagTrace) and the metrics kind. The JSON
+/// framing needs no version: its parser ignores unknown members.
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// What a request line asks for. The two predict kinds are inferred from
@@ -198,9 +198,8 @@ struct WireRequest {
   std::optional<double> deadline_ms;
   /// Optional trace id: asks every hop to stamp per-stage timestamps onto
   /// the reply (docs/OBSERVABILITY.md). Absent = untraced (the default;
-  /// tracing is strictly opt-in per request). JSON servers that predate
-  /// tracing ignore the member; on the binary framing the flag is only
-  /// legal at protocol >= 2, so clients gate it on the negotiated version.
+  /// tracing is strictly opt-in per request). On the binary framing it is
+  /// the trace flag of protocol 2.
   std::optional<std::uint64_t> trace;
 };
 
@@ -394,10 +393,8 @@ class MessageSplitter {
   /// splitter recycles another connection's warmed-up buffer instead of
   /// growing a fresh string from zero.
   explicit MessageSplitter(std::size_t max_message_bytes = 1 << 20,
-                           bool accept_binary = true,
                            common::BufferPool* pool = nullptr)
       : max_bytes_(max_message_bytes),
-        accept_binary_(accept_binary),
         buffer_(pool != nullptr ? pool->acquire() : common::BufferPool::Lease()) {}
 
   void feed(std::string_view bytes);
@@ -416,7 +413,6 @@ class MessageSplitter {
 
  private:
   std::size_t max_bytes_;
-  bool accept_binary_;
   common::BufferPool::Lease buffer_;
   std::size_t pos_ = 0;  // consumed prefix, compacted on feed()
   std::size_t peak_ = 0;

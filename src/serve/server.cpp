@@ -7,6 +7,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/buffer_pool.hpp"
 #include "core/model_cache.hpp"
 #include "serve/connection.hpp"
 
@@ -58,7 +59,7 @@ struct SocketServer::Impl {
       registry.gauge("repro_cache_misses")->set(static_cast<double>(cache_stats.misses));
     }
     registry.gauge("repro_pool_reuse_total")
-        ->set(static_cast<double>(connection.pool->stats().reuses));
+        ->set(static_cast<double>(common::BufferPool::global().stats().reuses));
     WireMetrics metrics;
     metrics.values = registry.snapshot_values();
     metrics.text = registry.prometheus_text();
@@ -108,11 +109,7 @@ common::Result<std::unique_ptr<SocketServer>> SocketServer::start(
   ConnectionOptions& connection = impl.connection;
   connection.name = "SocketServer";
   connection.max_line_bytes = options.max_line_bytes;
-  connection.enable_binary = options.enable_binary;
   connection.max_inflight = options.max_inflight;
-  connection.write_timeout = options.write_timeout;
-  connection.pool = options.buffer_pool != nullptr ? options.buffer_pool
-                                                   : &common::BufferPool::global();
   connection.connections = registry.counter("repro_connections_total");
   connection.protocol_errors = registry.counter("repro_protocol_errors_total");
   connection.peak_message_bytes = registry.gauge("repro_peak_message_bytes");

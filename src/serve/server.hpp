@@ -1,9 +1,11 @@
 // The socket front of serve::Service: line-delimited JSON requests — and,
-// after a per-connection "hello" negotiation, length-prefixed binary frames
-// — over a Unix-domain or TCP socket (see protocol.hpp for both wire
+// after a per-connection "hello" negotiation, binary frames of protocol 2 —
+// over a Unix-domain or TCP socket (see protocol.hpp for both wire
 // formats). Framing is detected per message by first byte, and every reply
 // mirrors its request's framing, so JSON and binary can interleave on one
-// connection without desync.
+// connection without desync. Every reply write has a 30 s progress
+// timeout: a client that stops reading cannot pin its connection's writer
+// thread. Reads stay unbounded, since an idle connection is legal.
 //
 // The listener and each connection's pipelined reader/writer pair are the
 // connection core (connection.hpp) the fleet front runs too; this class is
@@ -19,11 +21,9 @@
 // marks — so one "metrics" scrape shows the whole worker.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
-#include "common/buffer_pool.hpp"
 #include "common/status.hpp"
 #include "serve/service.hpp"
 
@@ -45,10 +45,6 @@ struct ServerOptions {
   /// chunk-streamed predict_source is bounded per *frame*, not per request —
   /// the total source may far exceed this.
   std::size_t max_line_bytes = 1 << 20;
-  /// Accept binary-framed messages and answer a "hello" negotiation with
-  /// protocol 1. When false the server is a JSON-only peer: hello answers
-  /// protocol 0 and a 0xB1 byte is just a malformed JSON line.
-  bool enable_binary = true;
   /// Per-connection pipelining window: how many decoded requests may be in
   /// flight (submitted, response not yet written) before the reader stops
   /// decoding — backpressure against a client that streams without reading.
@@ -59,15 +55,6 @@ struct ServerOptions {
   /// (the cache the served model was built through). Must outlive the
   /// server.
   const core::ModelCache* model_cache = nullptr;
-  /// Per-operation progress timeout on response writes: a client that stops
-  /// reading cannot wedge this connection's writer thread (and the futures
-  /// queued behind it) forever. Reads deliberately stay unbounded — idle
-  /// persistent connections (the balancer's backend pool) are legitimate.
-  std::chrono::milliseconds write_timeout{30000};
-  /// Pool behind every connection's splitter input buffer and reply output
-  /// buffer. Null = common::BufferPool::global() — one process-wide pool the
-  /// server, balancer, and clients all ride. Must outlive the server.
-  common::BufferPool* buffer_pool = nullptr;
 };
 
 class SocketServer {

@@ -12,6 +12,9 @@ namespace repro::serve {
 
 namespace {
 
+/// Admission-queue bound; submit() blocks when it is full (backpressure).
+constexpr std::size_t kAdmissionCapacity = 1024;
+
 common::Error unavailable_error() {
   // kUnavailable, not kUnsupported: clients (and the fleet balancer's
   // re-dispatch) must be able to tell "shutting down, retry elsewhere" from
@@ -28,7 +31,7 @@ common::Error deadline_error() {
 struct Service::Impl {
   explicit Impl(const ServiceOptions& options)
       : registry(options.registry != nullptr ? *options.registry : owned_registry),
-        admission(options.queue_capacity) {
+        admission(kAdmissionCapacity) {
     // One name lookup each at construction; the hot paths below touch only
     // the cached pointers (one relaxed atomic per event).
     obs_requests = registry.counter("repro_requests_total");

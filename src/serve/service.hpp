@@ -1,5 +1,6 @@
-// The in-process prediction service: a bounded admission queue and a
-// sharded worker pool over core::Predictor. Each shard pulls its own batch:
+// The in-process prediction service: a bounded admission queue (1024
+// requests; submit() blocks while it is full) and a sharded worker pool over
+// core::Predictor. Each shard pulls its own batch:
 //
 //   submit()          admission queue                shards (one model)
 //   submit_source() ─▶ (BoundedQueue, ◀──pop_batch── shard 0: Predictor ─▶ promises
@@ -57,8 +58,6 @@ struct ServiceOptions {
   /// A shard takes at most this many queued requests into one
   /// predict_batch call.
   std::size_t max_batch = 16;
-  /// Admission-queue bound; submit() blocks when full (backpressure).
-  std::size_t queue_capacity = 1024;
   /// Load shedding: when non-zero, submit() rejects (kUnavailable,
   /// retryable) any request whose estimated queue delay — admission backlog
   /// × EWMA of per-request service time ÷ shards — already exceeds this

@@ -225,7 +225,7 @@ TEST_P(AllocationRegressionTest, ServeHotPathIsAllocationFreeAtSteadyState) {
   }
 
   rc::BufferPool pool;
-  rs::MessageSplitter splitter(1 << 20, /*accept_binary=*/true, &pool);
+  rs::MessageSplitter splitter(1 << 20, &pool);
   rc::Arena arena;
   auto reply_lease = pool.acquire();
   std::string& reply = *reply_lease;

@@ -12,7 +12,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +22,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/fault.hpp"
@@ -190,25 +193,58 @@ std::vector<rco::Predictor::SourceRequest> source_burst(std::size_t n) {
   return std::vector<rco::Predictor::SourceRequest>(n, {kSourceKernel, ""});
 }
 
-/// A fake worker that answers every request line with a retryable
-/// "unavailable" error after a fixed delay — so the balancer re-dispatches
-/// each reply, burning the request's deadline budget one slice at a time.
+/// A listening socket on an ephemeral 127.0.0.1 port, which lands in
+/// `port`; -1 on failure.
+int listen_loopback(int& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 8) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+/// A listening Unix socket at `path`; -1 on failure.
+int listen_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 8) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// The JSON reply that settles the offer on `line` on protocol 2.
+std::string hello_acceptance(std::string_view line) {
+  std::string reply = formatted(rs::format_hello_response_into, rs::best_effort_id(line),
+                                rs::kProtocolVersion);
+  reply.push_back('\n');
+  return reply;
+}
+
+/// A fake worker that negotiates protocol 2, then answers every request
+/// frame with a retryable "unavailable" error frame after a fixed delay — so
+/// the balancer re-dispatches each reply, burning the request's deadline
+/// budget one slice at a time.
 class UnavailableBackend {
  public:
   explicit UnavailableBackend(std::chrono::milliseconds reply_delay)
-      : reply_delay_(reply_delay) {
-    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+      : reply_delay_(reply_delay), listener_(listen_loopback(port_)) {
     EXPECT_GE(listener_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listener_, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)), 0);
-    EXPECT_EQ(::listen(listener_, 8), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    port_ = ntohs(addr.sin_port);
     acceptor_ = std::thread([this] { accept_loop(); });
   }
   ~UnavailableBackend() { stop(); }
@@ -228,27 +264,27 @@ class UnavailableBackend {
       const int fd = ::accept(listener_, nullptr, nullptr);
       if (fd < 0) break;  // stop() shut the listener down
       conns.emplace_back([fd, delay = reply_delay_] {
-        std::string buffer;
+        rs::MessageSplitter splitter;
         char chunk[4096];
         for (;;) {
           const ssize_t n = ::read(fd, chunk, sizeof chunk);
           if (n < 0 && errno == EINTR) continue;
           if (n <= 0) break;
-          buffer.append(chunk, static_cast<std::size_t>(n));
-          std::size_t start = 0;
-          for (;;) {
-            const auto nl = buffer.find('\n', start);
-            if (nl == std::string::npos) break;
-            const std::string line = buffer.substr(start, nl - start);
-            start = nl + 1;
-            std::this_thread::sleep_for(delay);
-            std::string reply =
-                formatted(rs::format_error_into, rs::best_effort_id(line),
-                          rc::unavailable("always draining"), nullptr);
-            reply.push_back('\n');
+          splitter.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
+          for (auto next = splitter.next(); next.ok() && next.value().has_value();
+               next = splitter.next()) {
+            const rs::WireMessage& message = *next.value();
+            std::string reply;
+            if (!message.binary) {
+              reply = hello_acceptance(message.payload);
+            } else {
+              std::this_thread::sleep_for(delay);
+              reply = formatted(rs::binary::format_error_frame_into,
+                                rs::binary::best_effort_id(message.payload),
+                                rc::unavailable("always draining"), nullptr);
+            }
             (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
           }
-          buffer.erase(0, start);
         }
         ::close(fd);
       });
@@ -257,8 +293,8 @@ class UnavailableBackend {
   }
 
   std::chrono::milliseconds reply_delay_;
-  int listener_ = -1;
   int port_ = 0;
+  int listener_ = -1;
   std::thread acceptor_;
   std::atomic<bool> stopping_{false};
 };
@@ -471,6 +507,123 @@ TEST(BalancerTest, DeadlineBudgetDeductedAcrossRedispatch) {
 
   balancer.value()->stop();
   backend.stop();
+}
+
+// --- backend framing and backend writes ---------------------------------------
+
+TEST(BalancerTest, RefusesAWorkerThatDoesNotNegotiate) {
+  // The front speaks binary frames to every worker, so a worker that
+  // answers "hello" with an error cannot be served through: start() fails
+  // with that worker's error.
+  int port = 0;
+  const int listener = listen_loopback(port);
+  ASSERT_GE(listener, 0);
+  std::thread worker([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string line;
+    char c = 0;
+    while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
+    std::string reply =
+        formatted(rs::format_error_into, rs::best_effort_id(line),
+                  rc::parse_error("protocol: unknown request type \"hello\""), nullptr);
+    reply.push_back('\n');
+    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  rf::BalancerOptions options;
+  options.tcp_port = 0;
+  auto balancer = rf::Balancer::start({{"", port}}, options);
+  worker.join();
+  ::close(listener);
+  ASSERT_FALSE(balancer.ok()) << "started on a worker that did not negotiate";
+  EXPECT_EQ(balancer.error().code, rc::ErrorCode::kParseError);
+  EXPECT_EQ(balancer.error().message, "protocol: unknown request type \"hello\"");
+}
+
+TEST(BalancerTest, StalledBackendWriteDoesNotHoldBackRepliesItAlreadyGot) {
+  // A scripted worker negotiates, reads one predict, stops reading, and
+  // answers that predict 0.5 s later. Meanwhile a second client floods a
+  // 16 MB chunk stream through the front into the same worker, so the
+  // front's write to it stalls. The reply the worker already sent must
+  // reach its client then, not when the stalled write times out (3 s).
+  TempDir dir("repro-fleet-stall");
+  const std::string sock = (dir.path / "worker.sock").string();
+  const int listener = listen_unix(sock);
+  ASSERT_GE(listener, 0);
+
+  std::promise<void> got_predict;
+  std::future<void> predict_read = got_predict.get_future();
+  std::promise<void> release;
+  std::thread worker([listener, &got_predict, released = release.get_future()] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    // A reconnect must fail fast, not hang in a handshake nobody answers.
+    ::close(listener);
+    // Byte by byte, so the worker never reads past the message it wants.
+    rs::MessageSplitter splitter;
+    const auto next_payload = [&]() -> std::string {
+      for (char c = 0;;) {
+        auto next = splitter.next();
+        if (!next.ok()) return {};
+        if (next.value().has_value()) return std::string(next.value()->payload);
+        if (::read(fd, &c, 1) != 1) return {};
+        splitter.feed(std::string_view(&c, 1));
+      }
+    };
+    const std::string hello = hello_acceptance(next_payload());
+    (void)::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL);
+    const std::uint64_t id = rs::binary::best_effort_id(next_payload());
+    got_predict.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    rco::Predictor::KernelPrediction prediction;
+    prediction.kernel = "scripted";
+    const std::string reply = rs::binary::format_prediction_frame(id, prediction);
+    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    released.wait();
+    ::close(fd);
+  });
+
+  rf::BalancerOptions options;
+  options.tcp_port = 0;
+  options.health_interval = std::chrono::milliseconds(0);  // no pings
+  options.io_timeout = std::chrono::seconds(3);
+  auto balancer = rf::Balancer::start({{sock, -1}}, options);
+  ASSERT_TRUE(balancer.ok()) << balancer.error().message;
+
+  rc::Result<rco::Predictor::KernelPrediction> flooded = rc::internal_error("not run");
+  std::thread flood([&] {
+    predict_read.wait();
+    auto client = rs::SocketClient::connect_tcp(balancer.value()->tcp_port());
+    if (!client.ok()) return;
+    if (auto negotiated = client.value().negotiate_binary(); !negotiated.ok()) return;
+    const std::string piece(64u << 10, ' ');
+    std::size_t streamed = 0;
+    flooded = client.value().predict_source_stream([&]() -> std::optional<std::string> {
+      if (streamed >= (16u << 20)) return std::nullopt;
+      streamed += piece.size();
+      return piece;
+    });
+  });
+
+  auto client = rs::SocketClient::connect_tcp(balancer.value()->tcp_port());
+  ASSERT_TRUE(client.ok()) << client.error().message;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto reply = client.value().predict("stalled", {});
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  release.set_value();
+  worker.join();
+  flood.join();
+  balancer.value()->stop();
+
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  EXPECT_EQ(reply.value().kernel, "scripted");
+  EXPECT_GE(elapsed, std::chrono::milliseconds(450));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2000))
+      << "the reply waited for the stalled write to time out";
+  // The stream dies with its worker connection: a retryable refusal.
+  ASSERT_FALSE(flooded.ok());
+  EXPECT_EQ(flooded.error().code, rc::ErrorCode::kUnavailable) << flooded.error().message;
 }
 
 // --- socket faults through the whole fleet path -------------------------------

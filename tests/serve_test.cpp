@@ -1874,91 +1874,75 @@ TEST(BinaryProtocolTest, StreamServesSourceLargerThanLineBoundInBoundedMemory) {
   service.value()->stop();
 }
 
-TEST(BinaryProtocolTest, NegotiationDowngradesAgainstJsonOnlyServer) {
-  // enable_binary=false makes the server an old-style JSON-only peer: hello
-  // answers protocol 0 and the client stays on JSON lines, fully working.
-  PoolGuard guard;
-  auto service = rs::Service::from_model(trained_model(), rs::ServiceOptions{});
-  ASSERT_TRUE(service.ok());
-  rs::ServerOptions server_options;
-  server_options.tcp_port = 0;
-  server_options.enable_binary = false;
-  auto server = rs::SocketServer::start(*service.value(), server_options);
-  ASSERT_TRUE(server.ok());
-
-  auto direct = rco::Predictor::from_model(trained_model());
-  ASSERT_TRUE(direct.ok());
-  const auto reference = direct.value().predict_source(kSourceKernel);
-  ASSERT_TRUE(reference.ok());
-
-  auto client = rs::SocketClient::connect_tcp(server.value()->tcp_port());
-  ASSERT_TRUE(client.ok());
-  auto negotiated = client.value().negotiate_binary();
-  ASSERT_TRUE(negotiated.ok()) << negotiated.error().message;
-  EXPECT_EQ(negotiated.value(), 0u);
-  EXPECT_FALSE(client.value().binary());
-
-  auto response = client.value().predict_source(kSourceKernel);
-  ASSERT_TRUE(response.ok()) << response.error().message;
-  EXPECT_TRUE(bitwise_equal(response.value().pareto, reference.value().pareto));
-
-  // predict_source_stream still works on the downgraded connection — the
-  // chunks are concatenated into one ordinary request.
-  int calls = 0;
-  auto provider = [&]() -> std::optional<std::string> {
-    const std::string source = kSourceKernel;
-    const std::size_t piece = source.size() / 3 + 1;
-    if (static_cast<std::size_t>(calls) * piece >= source.size()) return std::nullopt;
-    auto chunk = source.substr(static_cast<std::size_t>(calls) * piece, piece);
-    ++calls;
-    return chunk;
+TEST(BinaryProtocolTest, NegotiationFailsAgainstPeerWithoutHello) {
+  // A peer without "hello" answers it with an ordinary JSON error line
+  // (here: a raw fake speaking exactly that). negotiate_binary returns that
+  // error, and the connection stays on JSON lines, where a chunk stream
+  // cannot go. A peer that settles on protocol 1 is refused the same way.
+  struct Case {
+    std::string reply;  // to the hello line, whose id is 1
+    rc::ErrorCode code;
+    std::string message;
   };
-  auto streamed = client.value().predict_source_stream(provider);
-  ASSERT_TRUE(streamed.ok()) << streamed.error().message;
-  EXPECT_TRUE(bitwise_equal(streamed.value().pareto, reference.value().pareto));
+  const Case cases[] = {
+      {formatted(rs::format_error_into, 1,
+                 rc::parse_error("protocol: unknown request type \"hello\""), nullptr),
+       rc::ErrorCode::kParseError, "protocol: unknown request type \"hello\""},
+      {formatted(rs::format_hello_response_into, 1, 1u), rc::ErrorCode::kUnsupported,
+       "SocketClient: peer offers protocol 1, this build speaks 2"},
+  };
+  for (const Case& peer_case : cases) {
+    SCOPED_TRACE(peer_case.reply);
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
 
-  server.value()->stop();
-  service.value()->stop();
-}
+    // After its reply the peer counts every byte the client still writes,
+    // until the client hangs up.
+    std::size_t bytes_after_hello = 0;
+    std::thread peer([listener, &bytes_after_hello, reply = peer_case.reply + "\n"] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) return;
+      char c = 0;
+      while (::read(fd, &c, 1) == 1 && c != '\n') {
+      }
+      (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      char chunk[4096];
+      for (ssize_t n = 0; (n = ::read(fd, chunk, sizeof chunk)) > 0;) {
+        bytes_after_hello += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    });
 
-TEST(BinaryProtocolTest, NegotiationDowngradesAgainstPreHelloPeer) {
-  // A peer that predates "hello" answers it with an ordinary JSON error
-  // line (here: a raw fake speaking exactly that). negotiate_binary must
-  // treat the error reply as "JSON only", not as a failure.
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    {
+      auto client = rs::SocketClient::connect_tcp(ntohs(addr.sin_port));
+      ASSERT_TRUE(client.ok()) << client.error().message;
+      auto negotiated = client.value().negotiate_binary();
+      ASSERT_FALSE(negotiated.ok());
+      EXPECT_EQ(negotiated.error().code, peer_case.code);
+      EXPECT_EQ(negotiated.error().message, peer_case.message);
+      EXPECT_FALSE(client.value().binary());
 
-  std::thread peer([listener] {
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) return;
-    std::string line;
-    char c = 0;
-    while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
-    std::string reply = formatted(
-        rs::format_error_into, rs::best_effort_id(line),
-        rc::parse_error("protocol: unknown request type \"hello\""), nullptr);
-    reply.push_back('\n');
-    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-    ::close(fd);
-  });
-
-  auto client = rs::SocketClient::connect_tcp(ntohs(addr.sin_port));
-  ASSERT_TRUE(client.ok()) << client.error().message;
-  auto negotiated = client.value().negotiate_binary();
-  ASSERT_TRUE(negotiated.ok()) << negotiated.error().message;
-  EXPECT_EQ(negotiated.value(), 0u);
-  EXPECT_FALSE(client.value().binary());
-
-  peer.join();
-  ::close(listener);
+      bool pulled = false;
+      auto streamed =
+          client.value().predict_source_stream([&]() -> std::optional<std::string> {
+            if (std::exchange(pulled, true)) return std::nullopt;
+            return std::string(kSourceKernel);
+          });
+      ASSERT_FALSE(streamed.ok());
+      EXPECT_EQ(streamed.error().code, rc::ErrorCode::kInvalidArgument);
+    }  // disconnect: the peer reads EOF
+    peer.join();
+    EXPECT_EQ(bytes_after_hello, 0u) << "the refused stream wrote to the wire";
+    ::close(listener);
+  }
 }
 
 // --- observability: traced requests and the metrics request kind --------------
