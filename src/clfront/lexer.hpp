@@ -45,8 +45,17 @@ enum class LexMode : std::uint8_t {
   kBlockCommentStar,  // inside /* …, previous byte was '*' ('/' closes)
 };
 
+/// Receives each token the moment the scanner commits it, so a streaming
+/// caller never holds more tokens than it chooses to keep.
+class TokenSink {
+ public:
+  virtual void accept(Token&& token) = 0;
+
+ protected:
+  ~TokenSink() = default;
+};
+
 struct ChunkLex {
-  std::vector<Token> tokens;  ///< complete tokens recognized in this pass
   std::size_t consumed = 0;   ///< prefix of the window that can be discarded
   SourceLoc loc;              ///< source location just after `consumed`
   LexMode mode = LexMode::kNormal;
@@ -54,14 +63,14 @@ struct ChunkLex {
 };
 
 /// Lex as many complete tokens as the window allows, starting at `loc` in
-/// `mode`. With `final == false` no token touching the end of the window is
-/// committed (the next chunk could extend an identifier, a literal, or a
-/// multi-character operator) — it stays in the unconsumed tail. With
-/// `final == true` everything drains and end-of-input errors (unterminated
-/// block comment) are reported. The kEof token is never appended; callers
-/// add it once the stream ends.
+/// `mode`, and hand each to `sink` in order. With `final == false` no token
+/// touching the end of the window is committed (the next chunk could extend
+/// an identifier, a literal, or a multi-character operator) — it stays in
+/// the unconsumed tail. With `final == true` everything drains and
+/// end-of-input errors (unterminated block comment) are reported. The kEof
+/// token is never emitted; callers add it once the stream ends.
 [[nodiscard]] ChunkLex lex_chunk(std::string_view text, SourceLoc loc, LexMode mode,
-                                 bool final);
+                                 bool final, TokenSink& sink);
 
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,24 +49,18 @@ std::optional<Type> builtin_constant_type(const std::string& name) {
 }
 
 /// Return type encoded in convert_*/as_* builtins ("convert_float4" etc).
-std::optional<Type> conversion_target(const std::string& callee) {
-  if (callee.rfind("convert_", 0) == 0) return parse_type_name(callee.substr(8));
-  if (callee.rfind("as_", 0) == 0) return parse_type_name(callee.substr(3));
+std::optional<Type> conversion_target(std::string_view callee) {
+  if (callee.starts_with("convert_")) return parse_type_name(callee.substr(8));
+  if (callee.starts_with("as_")) return parse_type_name(callee.substr(3));
   return std::nullopt;
 }
 
 /// vloadN / vstoreN width (0 if not a vload/vstore name).
-int vload_width(const std::string& name, bool* is_store) {
-  const bool load = name.rfind("vload", 0) == 0;
-  const bool store = name.rfind("vstore", 0) == 0;
+int vload_width(std::string_view name, bool* is_store) {
+  const bool load = name.starts_with("vload");
+  const bool store = name.starts_with("vstore");
   if (!load && !store) return 0;
-  const std::string suffix = name.substr(load ? 5 : 6);
-  int width = 0;
-  if (suffix == "2") width = 2;
-  else if (suffix == "3") width = 3;
-  else if (suffix == "4") width = 4;
-  else if (suffix == "8") width = 8;
-  else if (suffix == "16") width = 16;
+  const int width = vector_width(name.substr(load ? 5 : 6));
   if (width != 0) *is_store = store;
   return width;
 }

@@ -53,30 +53,24 @@ std::optional<BinaryOp> compound_assign_op(TokenKind kind) {
   }
 }
 
-bool is_address_space_kw(const std::string& kw, AddressSpace* out) {
-  if (kw == "global" || kw == "__global") {
-    *out = AddressSpace::kGlobal;
-    return true;
+bool is_address_space_kw(Keyword kw, AddressSpace* out) {
+  switch (kw) {
+    case Keyword::kGlobal: *out = AddressSpace::kGlobal; return true;
+    case Keyword::kLocal: *out = AddressSpace::kLocal; return true;
+    case Keyword::kConstant: *out = AddressSpace::kConstant; return true;
+    case Keyword::kPrivate: *out = AddressSpace::kPrivate; return true;
+    default: return false;
   }
-  if (kw == "local" || kw == "__local") {
-    *out = AddressSpace::kLocal;
-    return true;
-  }
-  if (kw == "constant" || kw == "__constant") {
-    *out = AddressSpace::kConstant;
-    return true;
-  }
-  if (kw == "private" || kw == "__private") {
-    *out = AddressSpace::kPrivate;
-    return true;
-  }
-  return false;
 }
 
-bool is_qualifier_kw(const std::string& kw) {
-  AddressSpace dummy;
-  return is_address_space_kw(kw, &dummy) || kw == "const" || kw == "restrict" ||
-         kw == "volatile" || kw == "unsigned" || kw == "signed";
+/// Address spaces, const, restrict, volatile, unsigned and signed.
+bool is_qualifier_kw(Keyword kw) {
+  return kw >= Keyword::kGlobal && kw <= Keyword::kSigned;
+}
+
+/// void ... half and size_t.
+bool is_type_name_kw(Keyword kw) {
+  return kw >= Keyword::kVoid && kw <= Keyword::kSizeT;
 }
 
 }  // namespace
@@ -94,9 +88,7 @@ const Token& Parser::advance() noexcept {
 
 bool Parser::check(TokenKind kind) const noexcept { return peek().kind == kind; }
 
-bool Parser::check_keyword(const std::string& kw) const noexcept {
-  return peek().kind == TokenKind::kKeyword && peek().text == kw;
-}
+bool Parser::check_keyword(Keyword kw) const noexcept { return peek().keyword == kw; }
 
 bool Parser::match(TokenKind kind) noexcept {
   if (!check(kind)) return false;
@@ -104,18 +96,20 @@ bool Parser::match(TokenKind kind) noexcept {
   return true;
 }
 
-bool Parser::match_keyword(const std::string& kw) noexcept {
+bool Parser::match_keyword(Keyword kw) noexcept {
   if (!check_keyword(kw)) return false;
   advance();
   return true;
 }
 
-const Token& Parser::expect(TokenKind kind, const std::string& what) {
-  if (!check(kind)) {
-    fail("expected " + std::string(token_kind_name(kind)) + " (" + what + "), got '" +
-         (peek().text.empty() ? token_kind_name(peek().kind) : peek().text) + "'");
-  }
+const Token& Parser::expect(TokenKind kind, const char* what) {
+  if (!check(kind)) fail_expected(kind, what);
   return advance();
+}
+
+void Parser::fail_expected(TokenKind kind, const char* what) const {
+  fail("expected " + std::string(token_kind_name(kind)) + " (" + what + "), got '" +
+       (peek().text.empty() ? token_kind_name(peek().kind) : peek().text) + "'");
 }
 
 void Parser::fail(const std::string& msg) const {
@@ -134,19 +128,21 @@ Parser::DepthGuard::DepthGuard(Parser& parser) : parser_(parser) {
 
 bool Parser::looks_like_type_start(std::size_t ahead) const noexcept {
   const Token& t = peek(ahead);
-  if (t.kind != TokenKind::kKeyword && t.kind != TokenKind::kIdentifier) return false;
-  if (t.kind == TokenKind::kKeyword && is_qualifier_kw(t.text)) return true;
-  return parse_type_name(t.text).has_value();
+  if (t.kind == TokenKind::kKeyword) {
+    return is_qualifier_kw(t.keyword) || is_type_name_kw(t.keyword);
+  }
+  // Scalar type names are keywords; an identifier can only be a vector one.
+  return t.kind == TokenKind::kIdentifier && parse_type_name(t.text).has_value();
 }
 
 Type Parser::parse_type() {
   AddressSpace space = AddressSpace::kPrivate;
   bool saw_unsigned = false;
   // Leading qualifiers in any order.
-  while (peek().kind == TokenKind::kKeyword && is_qualifier_kw(peek().text)) {
+  while (is_qualifier_kw(peek().keyword)) {
     AddressSpace s;
-    if (is_address_space_kw(peek().text, &s)) space = s;
-    if (peek().text == "unsigned") saw_unsigned = true;
+    if (is_address_space_kw(peek().keyword, &s)) space = s;
+    if (peek().keyword == Keyword::kUnsigned) saw_unsigned = true;
     advance();
   }
 
@@ -171,12 +167,12 @@ Type Parser::parse_type() {
   type.addr_space = space;
 
   // Trailing qualifiers between type and declarator (e.g. "float const *").
-  while (peek().kind == TokenKind::kKeyword && is_qualifier_kw(peek().text)) advance();
+  while (is_qualifier_kw(peek().keyword)) advance();
 
   if (match(TokenKind::kStar)) {
     type = type.as_pointer(space);
     // "* restrict" / "* const"
-    while (peek().kind == TokenKind::kKeyword && is_qualifier_kw(peek().text)) advance();
+    while (is_qualifier_kw(peek().keyword)) advance();
   }
   return type;
 }
@@ -196,7 +192,7 @@ common::Result<TranslationUnit> Parser::parse_translation_unit() {
 FunctionDecl Parser::parse_function() {
   FunctionDecl fn;
   fn.loc = peek().loc;
-  while (check_keyword("kernel") || check_keyword("__kernel")) {
+  while (check_keyword(Keyword::kKernel)) {
     fn.is_kernel = true;
     advance();
   }
@@ -231,17 +227,17 @@ StmtPtr Parser::parse_statement() {
   const DepthGuard depth(*this);
   const SourceLoc loc = peek().loc;
   if (check(TokenKind::kLBrace)) return parse_compound();
-  if (match_keyword("if")) {
+  if (match_keyword(Keyword::kIf)) {
     expect(TokenKind::kLParen, "if condition");
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of if condition");
     auto then_s = parse_statement();
     StmtPtr else_s;
-    if (match_keyword("else")) else_s = parse_statement();
+    if (match_keyword(Keyword::kElse)) else_s = parse_statement();
     return std::make_unique<IfStmt>(std::move(cond), std::move(then_s), std::move(else_s),
                                     loc);
   }
-  if (match_keyword("for")) {
+  if (match_keyword(Keyword::kFor)) {
     auto node = std::make_unique<ForStmt>(loc);
     expect(TokenKind::kLParen, "for header");
     if (!check(TokenKind::kSemicolon)) {
@@ -262,33 +258,33 @@ StmtPtr Parser::parse_statement() {
     node->body = parse_statement();
     return node;
   }
-  if (match_keyword("while")) {
+  if (match_keyword(Keyword::kWhile)) {
     expect(TokenKind::kLParen, "while condition");
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of while condition");
     auto body = parse_statement();
     return std::make_unique<WhileStmt>(std::move(cond), std::move(body), loc);
   }
-  if (match_keyword("do")) {
+  if (match_keyword(Keyword::kDo)) {
     auto body = parse_statement();
-    if (!match_keyword("while")) fail("expected 'while' after do-body");
+    if (!match_keyword(Keyword::kWhile)) fail("expected 'while' after do-body");
     expect(TokenKind::kLParen, "do-while condition");
     auto cond = parse_expression();
     expect(TokenKind::kRParen, "end of do-while condition");
     expect(TokenKind::kSemicolon, "after do-while");
     return std::make_unique<DoWhileStmt>(std::move(body), std::move(cond), loc);
   }
-  if (match_keyword("return")) {
+  if (match_keyword(Keyword::kReturn)) {
     ExprPtr value;
     if (!check(TokenKind::kSemicolon)) value = parse_expression();
     expect(TokenKind::kSemicolon, "after return");
     return std::make_unique<ReturnStmt>(std::move(value), loc);
   }
-  if (match_keyword("break")) {
+  if (match_keyword(Keyword::kBreak)) {
     expect(TokenKind::kSemicolon, "after break");
     return std::make_unique<BreakStmt>(loc);
   }
-  if (match_keyword("continue")) {
+  if (match_keyword(Keyword::kContinue)) {
     expect(TokenKind::kSemicolon, "after continue");
     return std::make_unique<ContinueStmt>(loc);
   }
@@ -478,9 +474,9 @@ ExprPtr Parser::parse_primary() {
 
 common::Result<TranslationUnit> parse_opencl(const std::string& source) {
   Lexer lexer(source);
-  auto tokens = lexer.tokenize();
+  const auto tokens = lexer.tokenize();
   if (!tokens.ok()) return tokens.error();
-  Parser parser(std::move(tokens).take());
+  Parser parser(tokens.value());
   return parser.parse_translation_unit();
 }
 

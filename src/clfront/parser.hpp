@@ -8,6 +8,7 @@
 // OpenCL builtin library (work-item queries, math, synchronization).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,8 @@ inline constexpr int kMaxNestingDepth = 256;
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  /// `tokens` must end with a kEof token and outlive the parser.
+  explicit Parser(std::span<const Token> tokens) : tokens_(tokens) {}
 
   /// Parse a translation unit; returns a parse error with location info on
   /// the first syntax problem.
@@ -40,10 +42,11 @@ class Parser {
   [[nodiscard]] const Token& peek(std::size_t ahead = 0) const noexcept;
   const Token& advance() noexcept;
   [[nodiscard]] bool check(TokenKind kind) const noexcept;
-  [[nodiscard]] bool check_keyword(const std::string& kw) const noexcept;
+  [[nodiscard]] bool check_keyword(Keyword kw) const noexcept;
   bool match(TokenKind kind) noexcept;
-  bool match_keyword(const std::string& kw) noexcept;
-  const Token& expect(TokenKind kind, const std::string& what);
+  bool match_keyword(Keyword kw) noexcept;
+  const Token& expect(TokenKind kind, const char* what);
+  [[noreturn]] void fail_expected(TokenKind kind, const char* what) const;
   [[noreturn]] void fail(const std::string& msg) const;
 
   /// RAII guard enforcing kMaxNestingDepth on the recursive-descent entry
@@ -75,7 +78,7 @@ class Parser {
   ExprPtr parse_postfix();
   ExprPtr parse_primary();
 
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "clfront/stream.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <utility>
 
@@ -29,7 +30,7 @@ FunctionSummary summarize(const IrFunction& ir) {
   return summary;
 }
 
-const FunctionSummary* find_summary(const std::vector<FunctionSummary>& all,
+const FunctionSummary* find_summary(const std::deque<FunctionSummary>& all,
                                     const std::string& name) {
   for (const auto& s : all) {
     if (s.name == name) return &s;  // first definition wins, like IrModule::find
@@ -39,7 +40,7 @@ const FunctionSummary* find_summary(const std::vector<FunctionSummary>& all,
 
 /// The summary-level twin of features.cpp's accumulate(): same call order,
 /// same cycle guard, same depth budget, same error messages.
-common::Status accumulate_summary(const std::vector<FunctionSummary>& all,
+common::Status accumulate_summary(const std::deque<FunctionSummary>& all,
                                   const FunctionSummary& fn,
                                   std::array<double, kNumFeatures>& counts,
                                   std::set<std::string>& call_chain) {
@@ -81,18 +82,39 @@ common::Status SourceFeeder::feed(std::string_view chunk) {
   }
   if (lex_error_.has_value()) return *lex_error_;  // sticky; input discarded
 
-  pending_.append(chunk);
+  // A token cut by the previous chunk boundary: join its bytes with only as
+  // much of this chunk as it takes to finish it (doubling, so a long token
+  // costs linear copying). Once the carried bytes are consumed, the rest of
+  // the window is this chunk's, and lexing goes on in place.
+  while (!pending_.empty() && !chunk.empty()) {
+    const std::size_t carried = pending_.size();
+    const std::size_t take = std::min(chunk.size(), std::max<std::size_t>(carried, 64));
+    pending_.append(chunk.substr(0, take));
+    const std::size_t consumed = lex(pending_, /*final=*/false);
+    if (lex_error_.has_value()) return *lex_error_;
+    if (consumed >= carried) {
+      pending_.clear();
+      chunk.remove_prefix(consumed - carried);
+      break;
+    }
+    pending_.erase(0, consumed);
+    chunk.remove_prefix(take);
+  }
+  if (!chunk.empty()) {
+    const std::size_t consumed = lex(chunk, /*final=*/false);
+    if (lex_error_.has_value()) return *lex_error_;
+    pending_.assign(chunk.substr(consumed));
+  }
   peak_pending_bytes_ = std::max(peak_pending_bytes_, pending_.size());
-  auto out = detail::lex_chunk(pending_, loc_, mode_, /*final=*/false);
-  pending_.erase(0, out.consumed);
+  return common::Status::Ok();
+}
+
+std::size_t SourceFeeder::lex(std::string_view window, bool final) {
+  auto out = detail::lex_chunk(window, loc_, mode_, final, *this);
   loc_ = out.loc;
   mode_ = out.mode;
-  if (out.error.has_value()) {
-    lex_error_ = std::move(out.error);
-    return *lex_error_;
-  }
-  ingest(std::move(out.tokens));
-  return common::Status::Ok();
+  if (out.error.has_value()) lex_error_ = std::move(out.error);
+  return out.consumed;
 }
 
 common::Status SourceFeeder::finish() {
@@ -104,16 +126,7 @@ common::Status SourceFeeder::finish() {
 
   // Drain the pending tail (final = true: the last token commits, and an
   // unterminated block comment is now an error, as in one-shot lexing).
-  if (!lex_error_.has_value()) {
-    auto out = detail::lex_chunk(pending_, loc_, mode_, /*final=*/true);
-    loc_ = out.loc;
-    mode_ = out.mode;
-    if (out.error.has_value()) {
-      lex_error_ = std::move(out.error);
-    } else {
-      ingest(std::move(out.tokens));
-    }
-  }
+  if (!lex_error_.has_value()) (void)lex(pending_, /*final=*/true);
   pending_.clear();
   pending_.shrink_to_fit();
 
@@ -121,9 +134,9 @@ common::Status SourceFeeder::finish() {
   // function or trailing garbage. Parse them so the verdict (and message)
   // matches what the whole-string parser would say.
   if (!lex_error_.has_value() && !parse_error_.has_value() && !fn_tokens_.empty()) {
-    complete_function(std::move(fn_tokens_));
-    fn_tokens_.clear();
+    complete_function(loc_);
   }
+  fn_tokens_ = {};
 
   // Settle the verdict with whole-string precedence: lexing runs first over
   // the entire input, then parsing, then lowering in declaration order.
@@ -132,70 +145,54 @@ common::Status SourceFeeder::finish() {
   } else if (parse_error_.has_value()) {
     final_error_ = parse_error_;
   } else {
-    for (auto& outcome : outcomes_) {
-      if (outcome.summary.has_value()) {
-        resolved_.push_back(std::move(*outcome.summary));
-        continue;
-      }
-      if (outcome.deferred.has_value()) {
-        // Forward reference: every signature of the stream is declared by
-        // now, so this either lowers or is a genuine unknown callee. The
-        // kNotFound deferral sentinel must not escape — at this boundary an
-        // unknown callee is invalid source, matching lower_to_ir.
-        auto ir = session_.lower(*outcome.deferred);
-        if (!ir.ok()) {
-          common::Error error = ir.error();
-          if (error.code == common::ErrorCode::kNotFound) {
-            error.code = common::ErrorCode::kParseError;
-          }
-          final_error_ = std::move(error);
-          break;
+    // Forward references: every signature of the stream is declared by now,
+    // so each either lowers or is a genuine unknown callee. All of them come
+    // before the first eager lowering error (lowering stops there), so the
+    // first failure among them outranks it. The kNotFound deferral sentinel
+    // must not escape — at this boundary an unknown callee is invalid
+    // source, matching lower_to_ir.
+    for (auto& deferred : deferred_) {
+      auto ir = session_.lower(deferred.fn);
+      if (!ir.ok()) {
+        common::Error error = ir.error();
+        if (error.code == common::ErrorCode::kNotFound) {
+          error.code = common::ErrorCode::kParseError;
         }
-        resolved_.push_back(summarize(ir.value()));
-        continue;
-      }
-      if (outcome.error.has_value()) {
-        final_error_ = outcome.error;
+        final_error_ = std::move(error);
         break;
       }
-      // Empty outcome: lowering was skipped past an earlier eager error,
-      // which the walk already returned — unreachable otherwise.
+      summaries_[deferred.slot] = summarize(ir.value());
     }
+    if (!final_error_.has_value()) final_error_ = lower_error_;
   }
-  outcomes_.clear();
+  deferred_.clear();
   return final_error_.has_value() ? common::Status(*final_error_)
                                   : common::Status::Ok();
 }
 
-void SourceFeeder::ingest(std::vector<Token> tokens) {
-  for (auto& token : tokens) {
-    // After a parse error the verdict is fixed; tokens are only scanned (for
-    // lexical errors, found by the lexer itself), never stored.
-    if (parse_error_.has_value()) return;
-    const TokenKind kind = token.kind;
-    fn_tokens_.push_back(std::move(token));
-    if (kind == TokenKind::kLBrace) {
-      ++brace_depth_;
-    } else if (kind == TokenKind::kRBrace && brace_depth_ > 0) {
-      if (--brace_depth_ == 0) {
-        // A top-level function just closed: parse + lower + summarize it
-        // now and release its tokens — the core of the bounded-memory
-        // contract.
-        std::vector<Token> fn_tokens = std::move(fn_tokens_);
-        fn_tokens_ = {};
-        complete_function(std::move(fn_tokens));
-      }
-    }
+void SourceFeeder::accept(Token&& token) {
+  // After a parse error the verdict is fixed; tokens are only scanned (for
+  // lexical errors, found by the lexer itself), never stored.
+  if (parse_error_.has_value()) return;
+  const TokenKind kind = token.kind;
+  fn_tokens_.push_back(std::move(token));
+  if (kind == TokenKind::kLBrace) {
+    ++brace_depth_;
+  } else if (kind == TokenKind::kRBrace && brace_depth_ > 0 && --brace_depth_ == 0) {
+    // A top-level function just closed: parse + lower + summarize it now and
+    // release its tokens — the core of the bounded-memory contract. Its
+    // end-of-input token is never reported: the parser stops at the '}'.
+    complete_function(fn_tokens_.back().loc);
   }
 }
 
-void SourceFeeder::complete_function(std::vector<Token> tokens) {
+void SourceFeeder::complete_function(SourceLoc eof_loc) {
   Token eof;
   eof.kind = TokenKind::kEof;
-  eof.loc = loc_;
-  tokens.push_back(std::move(eof));
-  Parser parser(std::move(tokens));
-  auto unit = parser.parse_translation_unit();
+  eof.loc = eof_loc;
+  fn_tokens_.push_back(std::move(eof));
+  auto unit = Parser(fn_tokens_).parse_translation_unit();
+  fn_tokens_.clear();
   if (!unit.ok()) {
     parse_error_ = unit.error();
     return;
@@ -205,21 +202,18 @@ void SourceFeeder::complete_function(std::vector<Token> tokens) {
 
 void SourceFeeder::absorb_function(FunctionDecl fn) {
   session_.declare(fn);
-  Outcome outcome;
-  if (!lower_error_seen_) {
-    auto ir = session_.lower(fn);
-    if (ir.ok()) {
-      outcome.summary = summarize(ir.value());
-    } else if (ir.error().code == common::ErrorCode::kNotFound) {
-      // A callee not declared yet — maybe a forward reference. Keep the AST
-      // and retry at finish(), when the whole stream has been declared.
-      outcome.deferred = std::move(fn);
-    } else {
-      outcome.error = ir.error();
-      lower_error_seen_ = true;  // later lowering cannot outrank this error
-    }
+  if (lower_error_.has_value()) return;  // later lowering cannot outrank it
+  auto ir = session_.lower(fn);
+  if (ir.ok()) {
+    summaries_.push_back(summarize(ir.value()));
+  } else if (ir.error().code == common::ErrorCode::kNotFound) {
+    // A callee not declared yet — maybe a forward reference. Keep the AST
+    // and retry at finish(), when the whole stream has been declared.
+    deferred_.push_back({summaries_.size(), std::move(fn)});
+    summaries_.emplace_back();
+  } else {
+    lower_error_ = ir.error();
   }
-  outcomes_.push_back(std::move(outcome));
 }
 
 common::Result<StaticFeatures> SourceFeeder::features(const std::string& kernel) const {
@@ -229,7 +223,7 @@ common::Result<StaticFeatures> SourceFeeder::features(const std::string& kernel)
   if (final_error_.has_value()) return *final_error_;
   const FunctionSummary* target = nullptr;
   if (kernel.empty()) {
-    for (const auto& s : resolved_) {
+    for (const auto& s : summaries_) {
       if (s.is_kernel) {
         target = &s;
         break;
@@ -239,7 +233,7 @@ common::Result<StaticFeatures> SourceFeeder::features(const std::string& kernel)
       return common::not_found("module contains no kernel function");
     }
   } else {
-    target = find_summary(resolved_, kernel);
+    target = find_summary(summaries_, kernel);
     if (target == nullptr) {
       return common::not_found("kernel '" + kernel + "' not in module");
     }
@@ -253,7 +247,7 @@ common::Result<std::vector<StaticFeatures>> SourceFeeder::kernel_features() cons
   }
   if (final_error_.has_value()) return *final_error_;
   std::vector<StaticFeatures> out;
-  for (const auto& s : resolved_) {
+  for (const auto& s : summaries_) {
     if (!s.is_kernel) continue;
     auto features = resolve(s);
     if (!features.ok()) return features.error();
@@ -267,7 +261,7 @@ common::Result<StaticFeatures> SourceFeeder::resolve(
   StaticFeatures features;
   features.kernel_name = target.name;
   std::set<std::string> chain;
-  if (auto st = accumulate_summary(resolved_, target, features.counts, chain);
+  if (auto st = accumulate_summary(summaries_, target, features.counts, chain);
       !st.ok()) {
     return st.error();
   }

@@ -9,13 +9,16 @@
 //   auto features = feeder.features("my_kernel");
 //
 // How bounded memory is achieved:
-//  * the chunk lexer (clfront/lexer.hpp, detail::lex_chunk) consumes
-//    comments and preprocessor lines as they stream and keeps only the
-//    bytes of a possibly-incomplete trailing token in its pending buffer;
-//  * tokens are grouped into top-level functions by brace depth, and each
-//    function is parsed, lowered, and collapsed into a FunctionSummary (10
-//    local feature counts + the ordered callee list) the moment its closing
-//    brace arrives — tokens, AST, and IR never outlive the function;
+//  * the chunk lexer (clfront/lexer.hpp, detail::lex_chunk) lexes the
+//    caller's chunk in place and consumes comments and preprocessor lines
+//    as they stream; only the bytes of a possibly-incomplete trailing token
+//    are copied into the pending buffer;
+//  * the lexer hands over each token as it is recognized; tokens are grouped
+//    into top-level functions by brace depth, and each function is parsed,
+//    lowered, and collapsed into a FunctionSummary (10 local feature counts +
+//    the ordered callee list) the moment its closing brace arrives — the
+//    feeder holds one open function's tokens, and tokens, AST, and IR never
+//    outlive the function;
 //  * cross-function call resolution (the static analogue of inlining that
 //    extract_features performs over the whole IrModule) runs over the
 //    summaries at finish(), when every signature has been seen. A function
@@ -32,6 +35,7 @@
 
 #include <array>
 #include <cstddef>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,7 +66,7 @@ struct FunctionSummary {
   std::vector<std::string> calls;
 };
 
-class SourceFeeder {
+class SourceFeeder : private detail::TokenSink {
  public:
   explicit SourceFeeder(StreamOptions options = {});
 
@@ -87,24 +91,28 @@ class SourceFeeder {
   [[nodiscard]] common::Result<std::vector<StaticFeatures>> kernel_features() const;
 
   [[nodiscard]] std::size_t bytes_fed() const noexcept { return bytes_fed_; }
-  /// High-water mark of the pending byte buffer — the observable "bounded
-  /// memory" part of the contract (tokens of the open function and deferred
-  /// forward-reference ASTs come on top).
+  /// High-water mark of the unconsumed tail kept between feed() calls (a
+  /// partial trailing token) — the observable "bounded memory" part of the
+  /// contract (the open function's tokens and deferred forward-reference
+  /// ASTs come on top).
   [[nodiscard]] std::size_t peak_pending_bytes() const noexcept {
     return peak_pending_bytes_;
   }
 
  private:
-  struct Outcome {
-    // Exactly one engaged: a finished summary, a deferred AST (unknown
-    // callee, retried at finish), or this function's lowering error.
-    std::optional<FunctionSummary> summary;
-    std::optional<FunctionDecl> deferred;
-    std::optional<common::Error> error;
+  /// A function whose callee was not declared when it closed (maybe a
+  /// forward reference): its AST waits for finish(), and its summary slot
+  /// holds a placeholder until then.
+  struct Deferred {
+    std::size_t slot;
+    FunctionDecl fn;
   };
 
-  void ingest(std::vector<Token> tokens);
-  void complete_function(std::vector<Token> tokens);
+  /// Lex `window` from the saved position and mode; returns the consumed
+  /// prefix. A lexical error lands in lex_error_.
+  std::size_t lex(std::string_view window, bool final);
+  void accept(Token&& token) override;
+  void complete_function(SourceLoc eof_loc);
   void absorb_function(FunctionDecl fn);
   common::Result<StaticFeatures> resolve(const FunctionSummary& target) const;
 
@@ -112,14 +120,16 @@ class SourceFeeder {
   std::string pending_;
   SourceLoc loc_{};
   detail::LexMode mode_ = detail::LexMode::kNormal;
-  std::vector<Token> fn_tokens_;
+  std::vector<Token> fn_tokens_;  // the open function's; capacity is reused
   int brace_depth_ = 0;
   LowerSession session_;
-  std::vector<Outcome> outcomes_;
+  // One summary per function in declaration order, settled by finish().
+  // Deques, so that neither grows as one block with the source.
+  std::deque<FunctionSummary> summaries_;
+  std::deque<Deferred> deferred_;
   std::optional<common::Error> lex_error_;    // outranks everything
   std::optional<common::Error> parse_error_;  // outranks lowering errors
-  bool lower_error_seen_ = false;             // later lowering is skipped
-  std::vector<FunctionSummary> resolved_;     // settled by finish()
+  std::optional<common::Error> lower_error_;  // later lowering is skipped
   std::optional<common::Error> final_error_;  // the stream verdict
   bool finished_ = false;
   std::size_t bytes_fed_ = 0;

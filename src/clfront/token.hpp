@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace repro::clfront {
 
@@ -27,6 +28,22 @@ enum class TokenKind : std::uint8_t {
 
 [[nodiscard]] const char* token_kind_name(TokenKind kind) noexcept;
 
+/// Which reserved word a kKeyword token is, classified once by the lexer so
+/// the parser compares ids, not strings. The "__"-prefixed spellings of
+/// kernel and the address spaces share the plain spelling's id; the token's
+/// text keeps the spelling for messages. The ranges [kGlobal, kSigned]
+/// (qualifiers, address spaces first) and [kVoid, kSizeT] (scalar type
+/// names) are contiguous.
+enum class Keyword : std::uint8_t {
+  kNone,  // an identifier, literal or punctuation
+  kKernel,
+  kGlobal, kLocal, kConstant, kPrivate,
+  kConst, kRestrict, kVolatile, kUnsigned, kSigned,
+  kVoid, kBool, kChar, kUChar, kShort, kUShort, kInt, kUInt, kLong, kULong,
+  kFloat, kDouble, kHalf, kSizeT,
+  kIf, kElse, kFor, kWhile, kDo, kReturn, kBreak, kContinue, kStruct,
+};
+
 /// Source location (1-based line/column).
 struct SourceLoc {
   int line = 1;
@@ -35,15 +52,21 @@ struct SourceLoc {
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;        // identifier/keyword spelling or literal text
-  std::uint64_t int_value = 0;
-  double float_value = 0.0;
+  Keyword keyword = Keyword::kNone;  // set exactly when kind == kKeyword
   bool is_unsigned = false;   // integer literal had a 'u' suffix
   bool is_float32 = true;     // float literal had an 'f' suffix (else double)
   SourceLoc loc;
+  std::string text;        // identifier/keyword spelling or literal text
+  std::uint64_t int_value = 0;
+  double float_value = 0.0;
 };
 
+/// The reserved word `word` spells, or Keyword::kNone. Constant time.
+[[nodiscard]] Keyword keyword_of(std::string_view word) noexcept;
+
 /// True if `word` is a reserved keyword of the accepted subset.
-[[nodiscard]] bool is_keyword(const std::string& word) noexcept;
+[[nodiscard]] inline bool is_keyword(std::string_view word) noexcept {
+  return keyword_of(word) != Keyword::kNone;
+}
 
 }  // namespace repro::clfront

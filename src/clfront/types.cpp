@@ -46,8 +46,17 @@ std::string Type::to_string() const {
   return s;
 }
 
-std::optional<Type> parse_type_name(const std::string& name) noexcept {
-  static constexpr std::array<std::pair<const char*, ScalarKind>, 13> kScalars = {{
+int vector_width(std::string_view suffix) noexcept {
+  if (suffix == "2") return 2;
+  if (suffix == "3") return 3;
+  if (suffix == "4") return 4;
+  if (suffix == "8") return 8;
+  if (suffix == "16") return 16;
+  return 0;
+}
+
+std::optional<Type> parse_type_name(std::string_view name) noexcept {
+  static constexpr std::array<std::pair<std::string_view, ScalarKind>, 13> kScalars = {{
       {"void", ScalarKind::kVoid},
       {"bool", ScalarKind::kBool},
       {"char", ScalarKind::kChar},
@@ -65,19 +74,11 @@ std::optional<Type> parse_type_name(const std::string& name) noexcept {
   if (name == "size_t") return Type{ScalarKind::kULong, 1, false, AddressSpace::kPrivate};
   if (name == "unsigned") return Type::uint_type();
   for (const auto& [base, kind] : kScalars) {
-    const std::string base_s(base);
-    if (name == base_s) return Type{kind, 1, false, AddressSpace::kPrivate};
-    if (name.size() > base_s.size() && name.compare(0, base_s.size(), base_s) == 0) {
-      const std::string suffix = name.substr(base_s.size());
-      int width = 0;
-      if (suffix == "2") width = 2;
-      else if (suffix == "3") width = 3;
-      else if (suffix == "4") width = 4;
-      else if (suffix == "8") width = 8;
-      else if (suffix == "16") width = 16;
-      if (width != 0 && kind != ScalarKind::kVoid && kind != ScalarKind::kBool) {
-        return Type{kind, width, false, AddressSpace::kPrivate};
-      }
+    if (name.empty() || name[0] != base[0] || !name.starts_with(base)) continue;
+    if (name.size() == base.size()) return Type{kind, 1, false, AddressSpace::kPrivate};
+    const int width = vector_width(name.substr(base.size()));
+    if (width != 0 && kind != ScalarKind::kVoid && kind != ScalarKind::kBool) {
+      return Type{kind, width, false, AddressSpace::kPrivate};
     }
   }
   return std::nullopt;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace repro::clfront {
 
@@ -77,8 +78,12 @@ struct Type {
 [[nodiscard]] const char* address_space_name(AddressSpace space) noexcept;
 
 /// Parse a type name like "float4", "uint", "size_t". Returns nullopt for
-/// non-type identifiers.
-[[nodiscard]] std::optional<Type> parse_type_name(const std::string& name) noexcept;
+/// non-type identifiers. Allocates nothing.
+[[nodiscard]] std::optional<Type> parse_type_name(std::string_view name) noexcept;
+
+/// The vector width a type-name suffix spells ("2", "3", "4", "8" or "16"),
+/// or 0.
+[[nodiscard]] int vector_width(std::string_view suffix) noexcept;
 
 /// Usual arithmetic conversion of two operand types (float wins over int,
 /// wider vector wins over scalar, double over float).

@@ -29,6 +29,10 @@ inline std::atomic<std::uint64_t> g_allocations{0};
 /// Total deallocations with a non-null pointer — lets a test also assert a
 /// region is free()-quiet, not just malloc-quiet.
 inline std::atomic<std::uint64_t> g_deallocations{0};
+/// Size of the largest single allocation since the last
+/// reset_largest_allocation() — lets a test assert a region never asks for
+/// a block as large as the allocator's mmap threshold.
+inline std::atomic<std::size_t> g_largest_allocation{0};
 
 [[nodiscard]] inline std::uint64_t allocations() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
@@ -38,15 +42,31 @@ inline std::atomic<std::uint64_t> g_deallocations{0};
   return g_deallocations.load(std::memory_order_relaxed);
 }
 
+[[nodiscard]] inline std::size_t largest_allocation() noexcept {
+  return g_largest_allocation.load(std::memory_order_relaxed);
+}
+
+inline void reset_largest_allocation() noexcept {
+  g_largest_allocation.store(0, std::memory_order_relaxed);
+}
+
 namespace detail {
 
-inline void* counted_alloc(std::size_t size) noexcept {
+inline void count(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_allocation.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
+}
+
+inline void* counted_alloc(std::size_t size) noexcept {
+  count(size);
   return std::malloc(size != 0 ? size : 1);
 }
 
 inline void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (::posix_memalign(&p, align, size != 0 ? size : 1) != 0) return nullptr;

@@ -25,6 +25,7 @@
 #include "clfront/features.hpp"
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
+#include "core/pipeline.hpp"
 #include "core/predictor.hpp"
 #include "serve/protocol.hpp"
 
@@ -260,5 +261,45 @@ INSTANTIATE_TEST_SUITE_P(BothFramings, AllocationRegressionTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "binary" : "json";
                          });
+
+// --- featurization: no per-request buffer grows with the source -------------
+
+/// A ~`bytes` translation unit shaped like the serving benchmark's large
+/// requests: many small helpers and one kernel, `chain`, calling every
+/// seventh of them.
+std::string chain_source(std::size_t bytes) {
+  std::string source;
+  std::size_t n = 0;
+  while (source.size() < bytes) {
+    const std::string id = std::to_string(n++);
+    source += "float helper" + id + "(float v) { /* synthetic filler " + id +
+              " */ return v * " + id + ".05f + native_sin(v) - " + id + "; }\n";
+  }
+  source += "kernel void chain(global float* x) {\n  float v = x[get_global_id(0)];\n";
+  for (std::size_t i = 0; i < n; i += 7) {
+    source += "  v = helper" + std::to_string(i) + "(v);\n";
+  }
+  source += "  x[get_global_id(0)] = v;\n}\n";
+  return source;
+}
+
+TEST(FeaturizeAllocationRegressionTest, LargeSourceMakesNoMmapSizedAllocation) {
+  // glibc maps every block of at least M_MMAP_THRESHOLD (128 KiB by default)
+  // on its own and unmaps it on free, so a worker at the default thresholds
+  // faults such a buffer in again on every request. Featurizing must keep
+  // its buffers bounded by one function, not grow them with the source.
+  constexpr std::size_t kMmapThreshold = std::size_t{128} * 1024;
+  const std::string source = chain_source(50 * 1024);
+  const rco::FeaturePipeline pipeline(rco::FeatureAssembler(0.0, 1.0, 0.0, 1.0));
+
+  hook::reset_largest_allocation();
+  const auto features = pipeline.featurize(source, "chain");
+  const std::size_t largest = hook::largest_allocation();
+
+  ASSERT_TRUE(features.ok()) << features.error().message;
+  EXPECT_LT(largest, kMmapThreshold)
+      << "featurizing a " << source.size() << "-byte source made a " << largest
+      << "-byte allocation";
+}
 
 }  // namespace
