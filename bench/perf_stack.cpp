@@ -1100,9 +1100,10 @@ int main(int argc, char** argv) {
   for (std::size_t n : kmat_sizes) run(bench_simd_kernel_matrix(n, reps));
 
   // stream_featurize: whole-string vs chunked SourceFeeder on a synthetic
-  // many-function source; "size" is the source length in bytes.
+  // many-function source; "size" is the source length in bytes. The smoke
+  // source (~200 KB) takes milliseconds, so the gate's ratio decides it.
   const std::vector<std::size_t> stream_fns =
-      smoke ? std::vector<std::size_t>{200} : std::vector<std::size_t>{500, 4000};
+      smoke ? std::vector<std::size_t>{2000} : std::vector<std::size_t>{500, 4000};
   for (std::size_t n : stream_fns) run(bench_stream_featurize(n, reps));
 
   // protocol_codec: JSON-line framing vs negotiated binary frames, encode +

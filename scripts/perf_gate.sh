@@ -14,8 +14,8 @@
 # Most smoke timings are sub-millisecond, so the 1.25x ratio is cushioned
 # by a 0.25 ms absolute slack — the gate is meant to catch real regressions
 # (an accidental O(n^2), a dropped parallel path), not CI scheduling
-# jitter. Cases of several milliseconds (model_grid_predict) are decided by
-# the ratio.
+# jitter. Cases of several milliseconds (model_grid_predict,
+# stream_featurize) are decided by the ratio.
 set -eu
 
 build_dir=${1:?usage: perf_gate.sh BUILD_DIR [BASELINE_JSON]}
@@ -62,7 +62,7 @@ extract "$work_dir/smoke1.json" "$work_dir/smoke2.json" "$work_dir/smoke3.json" 
 
 # The gated cases: the stack's headline hot paths. Sub-0.1 ms cases are
 # covered by the absolute slack more than the ratio.
-cases="svr_train svr_batch_predict model_grid_predict pareto_front predict_plus_pareto matrix_multiply simd_kernel_matrix protocol_request_codec protocol_response_codec protocol_parse_arena serving_hotpath"
+cases="svr_train svr_batch_predict model_grid_predict pareto_front predict_plus_pareto matrix_multiply simd_kernel_matrix stream_featurize protocol_request_codec protocol_response_codec protocol_parse_arena serving_hotpath"
 
 # Each smoke row is compared with the baseline row of the same name AND
 # size. A gated case with no smoke row, or a smoke row with no baseline row
