@@ -103,13 +103,11 @@ bool Parser::match_keyword(Keyword kw) noexcept {
 }
 
 const Token& Parser::expect(TokenKind kind, const char* what) {
-  if (!check(kind)) fail_expected(kind, what);
+  if (!check(kind)) {
+    fail("expected " + std::string(token_kind_name(kind)) + " (" + what + "), got '" +
+         (peek().text.empty() ? token_kind_name(peek().kind) : peek().text) + "'");
+  }
   return advance();
-}
-
-void Parser::fail_expected(TokenKind kind, const char* what) const {
-  fail("expected " + std::string(token_kind_name(kind)) + " (" + what + "), got '" +
-       (peek().text.empty() ? token_kind_name(peek().kind) : peek().text) + "'");
 }
 
 void Parser::fail(const std::string& msg) const {

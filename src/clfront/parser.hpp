@@ -46,7 +46,6 @@ class Parser {
   bool match(TokenKind kind) noexcept;
   bool match_keyword(Keyword kw) noexcept;
   const Token& expect(TokenKind kind, const char* what);
-  [[noreturn]] void fail_expected(TokenKind kind, const char* what) const;
   [[noreturn]] void fail(const std::string& msg) const;
 
   /// RAII guard enforcing kMaxNestingDepth on the recursive-descent entry
